@@ -1,8 +1,9 @@
 """The paper's primary contribution: Appro, LCF and their analysis.
 
 * :func:`~repro.core.appro.appro` — Algorithm 1, the ``2*delta*kappa``
-  approximation for the non-selfish problem (virtual-cloudlet split + GAP +
-  Shmoys–Tardos + merge-back + capacity repair).
+  approximation for the non-selfish problem (virtual-cloudlet split + GAP
+  solve — exact assignment by default, Shmoys–Tardos as the paper's
+  reference — + merge-back + capacity repair).
 * :func:`~repro.core.lcf.lcf` — Algorithm 2, the Largest-Cost-First
   approximation-restricted Stackelberg strategy.
 * :mod:`~repro.core.baselines` — ``JoOffloadCache`` [23] and

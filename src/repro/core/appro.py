@@ -4,11 +4,17 @@ Steps (Section III.B):
 
 1. split each cloudlet into ``n_i`` virtual cloudlets (Eq. 7);
 2. build the GAP instance with the congestion-free cost (Eq. 9);
-3. solve GAP with the Shmoys–Tardos approximation [34];
+3. solve GAP — the paper uses the Shmoys–Tardos approximation [34]; every
+   item of this reduction weighs one slot, so the GAP is a rectangular
+   assignment problem with an integral LP, and the default solver
+   (``"assignment"``, :func:`~repro.gap.assignment.assignment_gap`) finds
+   its exact optimum directly. ``"shmoys_tardos"`` stays available by name
+   as the paper reference; on this reduction it reaches the same optimum
+   through the LP;
 4. move every service assigned to a virtual cloudlet of ``CL_i`` onto the
    real ``CL_i``.
 
-Step 4 can overload a real cloudlet (the Shmoys–Tardos rounding may exceed a
+Step 4 can overload a real cloudlet (a general GAP rounding may exceed a
 virtual cloudlet's capacity by one item, and the split floors may not tile
 the capacity exactly), so we finish with the *adjustment procedure* the
 paper's Fig. 7 discussion refers to: overflow services are moved to the
@@ -26,6 +32,8 @@ import numpy as np
 
 from repro.core.assignment import CachingAssignment, Stopwatch
 from repro.core.virtual_cloudlets import VirtualCloudletSplit
+from repro.exceptions import ConfigurationError
+from repro.gap.assignment import assignment_gap
 from repro.gap.greedy import greedy_gap
 from repro.gap.instance import GAPInstance, GAPSolution
 from repro.gap.ladder import solve_with_degradation
@@ -37,6 +45,7 @@ from repro.utils.contracts import invariant_capacity_feasible
 from repro.utils.validation import CAPACITY_EPS
 
 _GAP_SOLVERS: Dict[str, Callable[[GAPInstance], GAPSolution]] = {
+    "assignment": assignment_gap,
     "shmoys_tardos": shmoys_tardos,
     "greedy": greedy_gap,
     "exact": exact_gap,
@@ -284,7 +293,7 @@ def _warm_appro(
 
 def appro(
     market: ServiceMarket,
-    gap_solver: str = "shmoys_tardos",
+    gap_solver: str = "assignment",
     allow_remote: bool = False,
     slot_pricing: str = "marginal",
     representation: str = "compiled",
@@ -297,8 +306,10 @@ def appro(
     Parameters
     ----------
     gap_solver:
-        ``"shmoys_tardos"`` (the paper's choice), ``"greedy"`` or
-        ``"exact"`` — the latter two support ablation A4.
+        ``"assignment"`` (default: the exact solver for the reduction's
+        uniform-weight GAP), ``"shmoys_tardos"`` (the paper's choice, kept
+        as the reference), ``"greedy"`` or ``"exact"`` — the latter three
+        support ablation A4.
     representation:
         ``"compiled"`` (default) builds the GAP instance and runs the
         repair from the market's array-backed
@@ -333,11 +344,14 @@ def appro(
     lp_time_limit_s:
         Time budget for the Shmoys–Tardos LP solve. When set, the solve
         runs through the degradation ladder (:func:`repro.gap.ladder.
-        solve_with_degradation`): a timeout falls back to the greedy
-        solver and the substitution is surfaced as
+        solve_with_degradation`): a timeout falls back to the exact
+        assignment solver (this reduction's weights are uniform) and the
+        substitution is surfaced as
         ``info["degradation"]`` (a :class:`~repro.gap.ladder.
-        DegradationEvent`) instead of silently swapping. Only meaningful
-        with ``gap_solver="shmoys_tardos"``.
+        DegradationEvent`) instead of silently swapping. Only
+        ``gap_solver="shmoys_tardos"`` solves an LP, so any other solver
+        rejects a budget with :class:`~repro.exceptions.ConfigurationError`
+        rather than ignoring it.
 
     Returns a :class:`CachingAssignment` whose ``info`` carries the LP lower
     bound, ``delta``/``kappa``, the Lemma 2 ratio bound, and repair stats.
@@ -348,6 +362,12 @@ def appro(
         raise ValueError(
             f"unknown gap_solver {gap_solver!r}; choose from {sorted(_GAP_SOLVERS)}"
         ) from None
+    if lp_time_limit_s is not None and gap_solver != "shmoys_tardos":
+        raise ConfigurationError(
+            f"lp_time_limit_s bounds the Shmoys–Tardos LP, but gap_solver="
+            f"{gap_solver!r} solves no LP; pass gap_solver='shmoys_tardos' "
+            f"or drop the budget"
+        )
     cm = resolve_compiled(market, representation, compiled)
     if warm_start is not None:
         return _warm_appro(

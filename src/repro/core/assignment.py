@@ -85,6 +85,18 @@ class CachingAssignment:
             return cm.remote_cost(provider_id)
         return cm.provider_cost(provider_id, self.placement)
 
+    def provider_costs(self, provider_ids: Iterable[int]) -> List[float]:
+        """:meth:`provider_cost` for each id, in order, from one batched
+        :meth:`CompiledMarket.provider_costs` gather (same floats)."""
+        ids = list(provider_ids)
+        cm = self.market.compile()
+        placed = [pid for pid in ids if pid not in self.rejected]
+        placed_costs = iter(cm.provider_costs(self.placement, placed).tolist())
+        return [
+            cm.remote_cost(pid) if pid in self.rejected else next(placed_costs)
+            for pid in ids
+        ]
+
     @property
     def social_cost(self) -> float:
         """Eq. (6) over cached providers plus remote costs of rejected ones.
@@ -99,7 +111,7 @@ class CachingAssignment:
 
     def cost_of(self, provider_ids: Iterable[int]) -> float:
         """Total cost of a subset of providers (Fig. 2b/2c splits)."""
-        return sum(self.provider_cost(pid) for pid in provider_ids)
+        return sum(self.provider_costs(provider_ids))
 
     @property
     def coordinated_cost(self) -> float:

@@ -77,7 +77,7 @@ def select_coordinated_lcf(
         rng = as_rng(rng)
         picked = rng.choice(len(eligible), size=budget, replace=False)
         return sorted(eligible[i] for i in picked)
-    costs = {pid: reference.provider_cost(pid) for pid in eligible}
+    costs = dict(zip(eligible, reference.provider_costs(eligible)))
     reverse = strategy == "largest_cost"
     ranked = sorted(eligible, key=lambda pid: (costs[pid], pid), reverse=reverse)
     return sorted(ranked[:budget])
@@ -102,7 +102,7 @@ class LCFResult:
 def lcf(
     market: ServiceMarket,
     xi: float = 0.7,
-    gap_solver: str = "shmoys_tardos",
+    gap_solver: str = "assignment",
     selection: str = "largest_cost",
     rng: RandomSource = None,
     max_rounds: int = 1000,
@@ -138,10 +138,16 @@ def lcf(
     ``compiled`` optionally supplies a precompiled market (e.g. shipped to
     a sweep worker).
 
+    ``gap_solver`` picks Appro's GAP solver (see :func:`repro.core.appro.
+    appro`): the exact ``"assignment"`` solver by default, or the paper's
+    ``"shmoys_tardos"`` reference.
+
     ``lp_time_limit_s`` bounds the leader phase's GAP LP solve through the
     degradation ladder (see :func:`repro.core.appro.appro`): a timeout
-    falls back to the greedy solver and surfaces on the assignment's
-    ``info["degradation"]``.
+    falls back to a cheaper solver and surfaces on the assignment's
+    ``info["degradation"]``. It needs ``gap_solver="shmoys_tardos"`` — the
+    only solver with an LP — and raises
+    :class:`~repro.exceptions.ConfigurationError` otherwise.
 
     ``warm_start`` carries the previous epoch's result across a market
     delta: a prior :class:`LCFResult` (or any assignment with

@@ -297,7 +297,7 @@ class DynamicMarketSimulation:
         trace: Optional[Callable[[int], float]] = None,
         representation: str = "compiled",
         warm_start: bool = True,
-        gap_solver: str = "shmoys_tardos",
+        gap_solver: str = "assignment",
         hysteresis_threshold: float = 0.15,
         outages: Optional[OutageTrace] = None,
         recovery: str = "failover",

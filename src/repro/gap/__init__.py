@@ -7,6 +7,10 @@ Shmoys–Tardos rounding (cost <= LP optimum, per-bin load <= capacity + max
 item weight, i.e. a 2-approximation in the regime used by the paper), plus a
 greedy heuristic and an exact branch-and-bound for small instances used to
 measure empirical ratios.
+
+Appro's reduction gives every item the same weight, which makes its GAP a
+rectangular assignment problem with an integral LP; :func:`assignment_gap`
+solves exactly that case, and is Appro's default solver.
 """
 
 from repro.gap.instance import GAPInstance, GAPSolution
@@ -14,10 +18,12 @@ from repro.gap.lp import ASSEMBLIES, solve_lp_relaxation, LPRelaxationResult
 from repro.gap.shmoys_tardos import shmoys_tardos
 from repro.gap.greedy import MODES as GREEDY_MODES, greedy_gap
 from repro.gap.exact import exact_gap
+from repro.gap.assignment import assignment_gap, uniform_weight
 from repro.gap.ladder import DegradationEvent, solve_with_degradation
 
 __all__ = [
     "ASSEMBLIES",
+    "assignment_gap",
     "DegradationEvent",
     "GAPInstance",
     "GAPSolution",
@@ -28,4 +34,5 @@ __all__ = [
     "greedy_gap",
     "GREEDY_MODES",
     "exact_gap",
+    "uniform_weight",
 ]

@@ -1,4 +1,4 @@
-"""The GAP solver degradation ladder: LP timeout → greedy fallback.
+"""The GAP solver degradation ladder: LP timeout → exact assignment or greedy.
 
 A production sweep cannot afford one pathological LP hanging a whole grid
 cell, but silently swapping solvers would corrupt the experiment — a
@@ -10,9 +10,14 @@ the returned :class:`~repro.gap.instance.GAPSolution` as a
 :class:`DegradationEvent` so callers (and their reports) can count and
 surface degraded cells instead of discovering them in the curves.
 
-The ladder today has two rungs — ``shmoys_tardos`` (LP + rounding, the
-paper's choice) over ``greedy`` (regret-ordered, no LP, effectively
-bounded running time) — matching the two solvers Algorithm 1 accepts.
+Under ``shmoys_tardos`` (LP + rounding, the paper's choice) the ladder
+has two fallback rungs, picked by the instance's shape. A uniform-weight
+instance — every instance Appro's virtual-cloudlet reduction builds —
+falls back to ``assignment`` (:func:`~repro.gap.assignment.assignment_gap`):
+exact on that shape and far faster than the LP it replaces, so the
+fallback never costs more time or quality than the rung above it. Any
+other instance falls back to ``greedy`` (regret-ordered, no LP,
+effectively bounded running time).
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.exceptions import SolverTimeout
+from repro.gap.assignment import assignment_gap, uniform_weight
 from repro.gap.greedy import greedy_gap
 from repro.gap.instance import GAPInstance, GAPSolution
 from repro.gap.shmoys_tardos import shmoys_tardos
@@ -32,7 +38,8 @@ class DegradationEvent:
 
     #: The rung the caller asked for (e.g. ``"shmoys_tardos"``).
     requested: str
-    #: The rung that actually produced the solution (e.g. ``"greedy"``).
+    #: The rung that actually produced the solution (``"assignment"`` or
+    #: ``"greedy"``).
     used: str
     #: Why the ladder stepped down (e.g. ``"timeout"``).
     reason: str
@@ -52,23 +59,28 @@ def solve_with_degradation(
     assemble: str = "vectorized",
     greedy_mode: str = "vectorized",
 ) -> GAPSolution:
-    """Solve with Shmoys–Tardos under a time budget, degrading to greedy.
+    """Solve with Shmoys–Tardos under a time budget, degrading on timeout.
 
     Without ``time_limit_s`` this is plain :func:`~repro.gap.
     shmoys_tardos.shmoys_tardos`. With one, a :class:`~repro.exceptions.
-    SolverTimeout` from the LP falls through to :func:`~repro.gap.greedy.
-    greedy_gap` and the returned solution carries a
-    :class:`DegradationEvent` (``solution.degradation``); an untimed
-    solve always returns ``degradation=None``. Infeasibility is *not*
-    degraded — an infeasible relaxation means the GAP itself has no
-    solution, and greedy would only dress that up.
+    SolverTimeout` from the LP falls through to :func:`~repro.gap.
+    assignment.assignment_gap` when the instance has uniform weights and
+    to :func:`~repro.gap.greedy.greedy_gap` otherwise; the returned
+    solution carries a :class:`DegradationEvent` (``solution.degradation``)
+    naming the rung used. An untimed solve always returns
+    ``degradation=None``. Infeasibility is *not* degraded — an infeasible
+    relaxation means the GAP itself has no solution, and a fallback would
+    only dress that up.
     """
     try:
         return shmoys_tardos(
             instance, assemble=assemble, time_limit_s=time_limit_s
         )
     except SolverTimeout as exc:
-        solution = greedy_gap(instance, mode=greedy_mode)
+        if uniform_weight(instance) is not None:
+            solution = assignment_gap(instance)
+        else:
+            solution = greedy_gap(instance, mode=greedy_mode)
         return GAPSolution(
             instance=solution.instance,
             assignment=solution.assignment,
@@ -76,7 +88,7 @@ def solve_with_degradation(
             lower_bound=solution.lower_bound,
             degradation=DegradationEvent(
                 requested="shmoys_tardos",
-                used="greedy",
+                used=solution.method,
                 reason="timeout",
                 detail=str(exc),
             ),

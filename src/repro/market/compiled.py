@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import bisect
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, TYPE_CHECKING
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
 
@@ -608,10 +608,11 @@ class CompiledMarket:
     def occupancy_vector(self, placement: Mapping[int, int]) -> np.ndarray:
         """``|sigma_i|`` per cloudlet column for a placement
         (``provider_id -> cloudlet node_id``)."""
-        occ = np.zeros(self.n_cloudlets, dtype=np.int64)
-        for node in placement.values():
-            occ[self.cloudlet_index[node]] += 1
-        return occ
+        cols = np.fromiter(
+            (self.cloudlet_index[node] for node in placement.values()),
+            dtype=np.int64, count=len(placement),
+        )
+        return np.bincount(cols, minlength=self.n_cloudlets)
 
     def load_matrix(self, placement: Mapping[int, int]) -> np.ndarray:
         """Per-cloudlet ``(compute, bandwidth)`` loads, accumulated in
@@ -633,16 +634,30 @@ class CompiledMarket:
     # ------------------------------------------------------------------ #
     def provider_cost(self, provider_id: int, placement: Mapping[int, int]) -> float:
         """``c_l(sigma_l)`` (Eq. 5) for a placed provider."""
-        node = placement.get(provider_id)
-        if node is None:
-            raise ConfigurationError(
-                f"provider {provider_id} is unplaced in the given placement"
-            )
-        j = self.cloudlet_col(node)
+        return float(self.provider_costs(placement, [provider_id])[0])
+
+    def provider_costs(
+        self, placement: Mapping[int, int], provider_ids: Sequence[int]
+    ) -> np.ndarray:
+        """:meth:`provider_cost` for many placed providers at once.
+
+        One occupancy vector and one ``shared[col, occ[col]] +
+        fixed[row, col]`` gather serve every id, so entry ``k`` is the same
+        double as ``provider_cost(provider_ids[k], placement)`` without
+        rebuilding the occupancy per provider.
+        """
+        rows = np.empty(len(provider_ids), dtype=np.int64)
+        cols = np.empty(len(provider_ids), dtype=np.int64)
+        for k, pid in enumerate(provider_ids):
+            node = placement.get(pid)
+            if node is None:
+                raise ConfigurationError(
+                    f"provider {pid} is unplaced in the given placement"
+                )
+            rows[k] = self.provider_row(pid)
+            cols[k] = self.cloudlet_col(node)
         occ = self.occupancy_vector(placement)
-        return float(
-            self.shared[j, occ[j]] + self.fixed[self.provider_row(provider_id), j]
-        )
+        return self.shared[cols, occ[cols]] + self.fixed[rows, cols]
 
     def social_cost(self, placement: Mapping[int, int]) -> float:
         """Eq. (6) over the placed providers.

@@ -1,10 +1,13 @@
 """Tests for Algorithm 1 (Appro)."""
 
+import importlib
+
 import pytest
 
 from repro.core.appro import appro
+from repro.core.lcf import lcf
 from repro.core.optimal import optimal_caching
-from repro.exceptions import InfeasibleError
+from repro.exceptions import ConfigurationError, InfeasibleError, SolverTimeout
 from repro.market.market import ServiceMarket
 from repro.market.pricing import Pricing
 
@@ -80,7 +83,7 @@ class TestQuality:
         assert marginal.social_cost <= 1.25 * optimum.social_cost
 
     def test_gap_solver_variants_run(self, small_market):
-        for solver in ("shmoys_tardos", "greedy"):
+        for solver in ("assignment", "shmoys_tardos", "greedy"):
             result = appro(small_market, gap_solver=solver)
             result.check_capacities()
 
@@ -92,4 +95,41 @@ class TestQuality:
         assert appro(small_market).runtime_s > 0.0
 
     def test_algorithm_label(self, small_market):
-        assert appro(small_market).algorithm == "Appro[shmoys_tardos]"
+        assert appro(small_market).algorithm == "Appro[assignment]"
+
+    def test_exact_solver_matches_the_lp_bound(self, small_market):
+        result = appro(small_market, gap_solver="assignment")
+        reference = appro(small_market, gap_solver="shmoys_tardos")
+        assert result.info["gap_cost"] == result.info["gap_lower_bound"]
+        assert result.info["gap_lower_bound"] == pytest.approx(
+            reference.info["gap_lower_bound"], rel=1e-9
+        )
+        assert result.social_cost == pytest.approx(reference.social_cost, rel=1e-9)
+
+
+class TestLPTimeLimit:
+    @pytest.mark.parametrize("gap_solver", ["assignment", "greedy", "exact"])
+    def test_budget_without_an_lp_is_rejected(self, small_market, gap_solver):
+        with pytest.raises(ConfigurationError, match="lp_time_limit_s"):
+            appro(small_market, gap_solver=gap_solver, lp_time_limit_s=5.0)
+
+    def test_default_solver_rejects_a_budget(self, small_market):
+        with pytest.raises(ConfigurationError):
+            appro(small_market, lp_time_limit_s=5.0)
+        with pytest.raises(ConfigurationError):
+            lcf(small_market, lp_time_limit_s=5.0)
+
+    def test_budget_runs_through_the_ladder(self, small_market):
+        result = appro(small_market, gap_solver="shmoys_tardos", lp_time_limit_s=60.0)
+        assert result.info["degradation"] is None
+        assert result.algorithm == "Appro[shmoys_tardos]"
+
+    def test_timeout_degrades_to_the_exact_solver(self, small_market, monkeypatch):
+        def timeout(instance, assemble="vectorized", time_limit_s=None):
+            raise SolverTimeout("forced")
+
+        st_module = importlib.import_module("repro.gap.shmoys_tardos")
+        monkeypatch.setattr(st_module, "solve_lp_relaxation", timeout)
+        result = appro(small_market, gap_solver="shmoys_tardos", lp_time_limit_s=1.0)
+        assert result.info["degradation"].used == "assignment"
+        assert result.placement == appro(small_market).placement

@@ -64,6 +64,26 @@ class TestCosts:
         assert a.coordinated_cost + a.selfish_cost == pytest.approx(a.social_cost)
         assert a.coordinated_cost == pytest.approx(a.provider_cost(0))
 
+    def test_batched_costs_match_per_id_costs(self, small_market):
+        # A mixed assignment: most providers placed, a few rejected.
+        rejected = {p.provider_id for p in small_market.providers[::4]}
+        nodes = [cl.node_id for cl in small_market.network.cloudlets]
+        placement = {
+            p.provider_id: nodes[k % len(nodes)]
+            for k, p in enumerate(small_market.providers)
+            if p.provider_id not in rejected
+        }
+        a = CachingAssignment(small_market, placement, rejected=frozenset(rejected))
+        ids = [p.provider_id for p in reversed(small_market.providers)]
+        per_id = [a.provider_cost(pid) for pid in ids]
+        assert a.provider_costs(ids) == per_id
+        # Same floats in the same order, so the subset sum is bit-equal.
+        assert a.cost_of(ids) == sum(per_id)
+        small_market.set_coordinated(ids[:5])
+        assert a.coordinated_cost == sum(
+            a.provider_cost(p.provider_id) for p in small_market.coordinated
+        )
+
     def test_occupancy(self, market):
         a = CachingAssignment(market, placement={0: 2, 1: 2, 2: 4})
         assert a.occupancy() == {2: 2, 4: 1}

@@ -60,7 +60,7 @@ def assert_same_assignment(market, compiled_a, object_a):
 
 
 class TestApproEquivalence:
-    @pytest.mark.parametrize("gap_solver", ["shmoys_tardos", "greedy"])
+    @pytest.mark.parametrize("gap_solver", ["assignment", "shmoys_tardos", "greedy"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_placements_and_costs_match(self, gap_solver, seed):
         market = make_market(40 + seed)
@@ -120,6 +120,70 @@ class TestLCFEquivalence:
         c = lcf(market, xi=0.5, allow_remote=True, representation="compiled")
         o = lcf(market, xi=0.5, allow_remote=True, representation="object")
         assert_same_assignment(market, c.assignment, o.assignment)
+
+
+SOLVER_CASES = [
+    pytest.param(seed, allow_remote, slot_pricing, name,
+                 id=f"{name}-{slot_pricing}-remote{int(allow_remote)}-s{seed}")
+    for seed in (0, 1)
+    for allow_remote in (False, True)
+    for slot_pricing in ("marginal", "flat")
+    for name in sorted(CONGESTIONS)
+]
+
+
+def solver_market(seed, allow_remote, name):
+    # With the remote bin open, a tight market (more providers than slots)
+    # also exercises the dummy remote columns and the repair.
+    if allow_remote:
+        return make_market(200 + seed, CONGESTIONS[name], n_providers=20, n_nodes=25)
+    return make_market(200 + seed, CONGESTIONS[name])
+
+
+class TestAssignmentSolverEquivalence:
+    """The exact assignment solver against the paper's Shmoys–Tardos
+    reference: the reduction's GAP LP is integral, so both reach the same
+    optimum — same social cost, and a lower bound equal to the LP value."""
+
+    @pytest.mark.parametrize("seed,allow_remote,slot_pricing,name", SOLVER_CASES)
+    def test_appro_matches_shmoys_tardos(self, seed, allow_remote, slot_pricing, name):
+        market = solver_market(seed, allow_remote, name)
+        runs = {
+            (solver, rep): appro(
+                market, gap_solver=solver, allow_remote=allow_remote,
+                slot_pricing=slot_pricing, representation=rep,
+            )
+            for solver in ("assignment", "shmoys_tardos")
+            for rep in ("compiled", "object")
+        }
+        exact = runs["assignment", "compiled"]
+        reference = runs["shmoys_tardos", "compiled"]
+        for solver in ("assignment", "shmoys_tardos"):
+            assert_same_assignment(market, runs[solver, "compiled"], runs[solver, "object"])
+        assert exact.social_cost == pytest.approx(reference.social_cost, rel=1e-9)
+        assert exact.info["gap_cost"] == exact.info["gap_lower_bound"]
+        assert exact.info["gap_lower_bound"] == pytest.approx(
+            reference.info["gap_lower_bound"], rel=1e-9
+        )
+
+    @pytest.mark.parametrize("seed,allow_remote,slot_pricing,name", SOLVER_CASES)
+    def test_lcf_matches_shmoys_tardos(self, seed, allow_remote, slot_pricing, name):
+        market = solver_market(seed, allow_remote, name)
+        runs = {
+            (solver, rep): lcf(
+                market, xi=0.5, gap_solver=solver, allow_remote=allow_remote,
+                slot_pricing=slot_pricing, information="full", representation=rep,
+            )
+            for solver in ("assignment", "shmoys_tardos")
+            for rep in ("compiled", "object")
+        }
+        for solver in ("assignment", "shmoys_tardos"):
+            c, o = runs[solver, "compiled"], runs[solver, "object"]
+            assert c.coordinated_ids == o.coordinated_ids
+            assert_same_assignment(market, c.assignment, o.assignment)
+        assert runs["assignment", "compiled"].social_cost == pytest.approx(
+            runs["shmoys_tardos", "compiled"].social_cost, rel=1e-9
+        )
 
 
 class TestBaselineEquivalence:

@@ -216,6 +216,28 @@ class TestSocialCostEquivalence:
             cm.provider_cost(small_market.providers[0].provider_id, {})
 
 
+class TestBatchedProviderCosts:
+    @pytest.mark.parametrize("name", sorted(CONGESTIONS))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_id_provider_cost(self, name, seed):
+        market = make_market(300 + seed, congestion=CONGESTIONS[name])
+        cm = market.compile()
+        rng = as_rng(seed)
+        placement = random_placement(market, rng)
+        ids = [int(pid) for pid in rng.permutation(list(placement))[:9]]
+        batched = cm.provider_costs(placement, ids).tolist()
+        assert batched == [cm.provider_cost(pid, placement) for pid in ids]
+
+    def test_unplaced_and_empty_ids(self, small_market):
+        cm = small_market.compile()
+        placement = random_placement(small_market, as_rng(3))
+        assert cm.provider_costs(placement, []).shape == (0,)
+        pid = small_market.providers[0].provider_id
+        del placement[pid]
+        with pytest.raises(ConfigurationError):
+            cm.provider_costs(placement, [pid])
+
+
 class TestPlacementState:
     def test_occupancy_and_loads(self, small_market):
         cm = small_market.compile()

@@ -294,6 +294,32 @@ class TestApplyDelta:
         assert cm.n_providers == 3
         assert_equivalent(cm, market)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_batched_provider_costs_after_churn(self, seed):
+        # Departures free low rows and arrivals reuse them, so physical
+        # rows stop following provider-id order.
+        market = make_market(20 + seed, n_providers=14)
+        cm = market.compile()
+        gone = tuple(p.provider_id for p in market.providers[1:8:2])
+        market.apply(MarketDelta(departures=gone))
+        newcomers = fresh_providers(market, 6, start_id=900, seed=seed)
+        market.apply(MarketDelta(arrivals=tuple(newcomers)))
+        rows = cm.active_rows.tolist()
+        assert rows != sorted(rows)
+        rng = as_rng(seed)
+        nodes = [cl.node_id for cl in market.network.cloudlets]
+        placement = {
+            p.provider_id: nodes[int(rng.integers(len(nodes)))]
+            for p in market.providers
+        }
+        ids = [int(pid) for pid in rng.permutation(list(placement))]
+        batched = cm.provider_costs(placement, ids).tolist()
+        assert batched == [cm.provider_cost(pid, placement) for pid in ids]
+        model = market.cost_model
+        assert batched == [
+            model.provider_cost(market.provider(pid), placement) for pid in ids
+        ]
+
     def test_pickle_round_trip_after_deltas(self):
         market = make_market(14)
         cm = market.compile()
