@@ -11,14 +11,13 @@ Nash-equilibrium verification, the Stackelberg wrapper used by algorithm
 from repro.game.congestion import Profile, SingletonCongestionGame
 from repro.game.batch import batch_best_response
 from repro.game.best_response import BestResponseResult, best_response_dynamics, greedy_feasible_profile
-from repro.game.equilibrium import best_deviation, is_nash_equilibrium
+from repro.game.equilibrium import best_deviation, certify_equilibrium, is_nash_equilibrium
 from repro.game.stackelberg import StackelbergOutcome, play_stackelberg
 from repro.game.poa import empirical_poa, enumerate_equilibria, worst_equilibrium_cost
 from repro.game.dynamics_variants import improvement_dynamics
 from repro.game.partitioned import (
     BOUNDARY_TOLERANCE,
     PartitionedResult,
-    certify_equilibrium,
     game_from_compiled,
     partitioned_best_response,
 )

@@ -39,9 +39,8 @@ from typing import Callable, Final, Hashable, Iterable, List, Mapping, Optional,
 
 import numpy as np
 
-from repro.exceptions import InfeasibleError
 from repro.game.congestion import Profile, SingletonCongestionGame
-from repro.game.engine import IMPROVEMENT_EPS, CompiledGame
+from repro.game.engine import IMPROVEMENT_EPS, CompiledGame, move_order_of
 from repro.utils.contracts import (
     check_potential_accumulator,
     invariant_capacity_feasible,
@@ -81,12 +80,8 @@ class _BatchState:
         )
         #: Mover-major slices of the compiled tables (row ``t`` is the
         #: ``t``-th player in priority order).
-        self.fixed = c.fixed[rows] if len(move_order) else np.empty((0, c.n_resources))
-        self.demand = (
-            c.demand[rows]
-            if c.demand is not None and len(move_order)
-            else (np.empty((0, c.n_resources, 1)) if c.demand is not None else None)
-        )
+        self.fixed = c.fixed[rows]
+        self.demand = c.demand[rows] if c.demand is not None else None
         self.occ = c.occupancy_vector(profile)
         self.loads = c.load_matrix(profile)
         #: ``capacity + CAPACITY_EPS``, precomputed once — the same sum the
@@ -121,13 +116,13 @@ class _BatchState:
         new_load = self.loads[None, :, :] + self.demand[lo:]
         return np.all(new_load <= self.cap_eps[None, :, :], axis=2)
 
-    def propose(self, lo: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Jacobi phase over pending movers ``[lo:]`` at the live state.
+    def entry_block(self, lo: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Price every pending mover ``[lo:]`` x resource at the live state.
 
-        Returns ``(targets, best, cur_cost)``: the row argmin of the masked
-        entry-cost block, its value, and each mover's current cost. Every
-        entry is the same IEEE sum of the same two table floats the serial
-        scan computes, so the argmin tie-breaking is identical.
+        Returns ``(entry, cur_cost)``: the entry-cost block with capacity-
+        infeasible cells and each mover's own resource masked to ``+inf``,
+        and each mover's current cost. Every entry is the same IEEE sum of
+        the same two table floats the serial scan computes.
         """
         entry = self.join_costs()[None, :] + self.fixed[lo:]
         feas = self.feasible_block(lo)
@@ -139,8 +134,18 @@ class _BatchState:
         cur_cost = (
             self.c.shared[strat, self.occ[strat]] + self.fixed[lo:][block, strat]
         )
+        return entry, cur_cost
+
+    def propose(self, lo: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Jacobi phase over pending movers ``[lo:]`` at the live state.
+
+        Returns ``(targets, best, cur_cost)``: the row argmin of the masked
+        entry-cost block, its value, and each mover's current cost; the
+        argmin tie-breaking is the serial scan's.
+        """
+        entry, cur_cost = self.entry_block(lo)
         targets = np.argmin(entry, axis=1)
-        best = entry[block, targets]
+        best = entry[np.arange(entry.shape[0]), targets]
         return targets, best, cur_cost
 
     def commit(self, t: int, j: int) -> None:
@@ -304,13 +309,7 @@ def batch_best_response(
     prices the candidates in bulk.
     """
     game.validate_profile(initial_profile)
-    movable_set = set(movable) if movable is not None else set(game.players)
-    unknown = movable_set - set(game.players)
-    if unknown:
-        raise InfeasibleError(
-            f"movable contains unknown players {sorted(unknown, key=str)}"
-        )
-    move_order = [p for p in game.players if p in movable_set]
+    move_order = move_order_of(game, movable)
     c = (
         (compiled if compiled is not None else game.compile())
         if move_order

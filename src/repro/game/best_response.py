@@ -27,14 +27,14 @@ Three engines implement the same dynamics:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError, ConvergenceError, InfeasibleError
 from repro.game.batch import batch_best_response
 from repro.game.congestion import Profile, SingletonCongestionGame
-from repro.game.engine import CompiledGame, incremental_best_response
+from repro.game.engine import CompiledGame, incremental_best_response, move_order_of
 from repro.utils.contracts import (
     invariant_capacity_feasible,
     invariant_potential_descends,
@@ -207,12 +207,7 @@ def best_response_dynamics(
 
     game.validate_profile(initial_profile)
     profile: Profile = dict(initial_profile)
-    movable_set: Set[Hashable] = set(movable) if movable is not None else set(game.players)
-    unknown = movable_set - set(game.players)
-    if unknown:
-        raise InfeasibleError(f"movable contains unknown players {sorted(unknown, key=str)}")
-
-    move_order = [p for p in game.players if p in movable_set]
+    move_order = move_order_of(game, movable)
     loads = game.loads(profile)
     occ = game.occupancy(profile)
     trace = [game.potential(profile)]

@@ -16,13 +16,14 @@ differ in *which* equilibrium is selected.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Set
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional
 
 import numpy as np
 
 from repro.exceptions import InfeasibleError
 from repro.game.best_response import BestResponseResult, _IMPROVEMENT_EPS
 from repro.game.congestion import Profile, SingletonCongestionGame
+from repro.game.engine import move_order_of
 from repro.utils.rng import RandomSource, as_rng
 
 
@@ -90,18 +91,12 @@ def improvement_dynamics(
         raise InfeasibleError(f"unknown variant {variant!r}")
     game.validate_profile(initial_profile)
     profile: Profile = dict(initial_profile)
-    movable_set: Set[Hashable] = (
-        set(movable) if movable is not None else set(game.players)
-    )
-    unknown = movable_set - set(game.players)
-    if unknown:
-        raise InfeasibleError(f"movable contains unknown players {sorted(unknown, key=str)}")
+    base_order = move_order_of(game, movable)
     rng = as_rng(rng)
     responder = (
         _first_improving_response if variant == "better" else _best_response
     )
 
-    base_order = [p for p in game.players if p in movable_set]
     loads = game.loads(profile)
     occ = game.occupancy(profile)
     trace = [game.potential(profile)]

@@ -236,6 +236,20 @@ class CompiledGame:
         return total
 
 
+def move_order_of(
+    game: SingletonCongestionGame, movable: Optional[Iterable[Hashable]]
+) -> List[Hashable]:
+    """The movable players in player order (everyone when ``movable`` is
+    ``None``); ids that are not players raise :class:`InfeasibleError`."""
+    if movable is None:
+        return list(game.players)
+    movable_set = set(movable)
+    unknown = movable_set - set(game.players)
+    if unknown:
+        raise InfeasibleError(f"movable contains unknown players {sorted(unknown, key=str)}")
+    return [p for p in game.players if p in movable_set]
+
+
 @invariant_capacity_feasible()
 @invariant_potential_descends()
 def incremental_best_response(
@@ -257,11 +271,7 @@ def incremental_best_response(
     """
     game.validate_profile(initial_profile)
     profile: Profile = dict(initial_profile)
-    movable_set = set(movable) if movable is not None else set(game.players)
-    unknown = movable_set - set(game.players)
-    if unknown:
-        raise InfeasibleError(f"movable contains unknown players {sorted(unknown, key=str)}")
-    move_order = [p for p in game.players if p in movable_set]
+    move_order = move_order_of(game, movable)
 
     phi = game.potential(profile)
     trace = [phi]
@@ -432,5 +442,6 @@ __all__ = [
     "CompiledGame",
     "IMPROVEMENT_EPS",
     "incremental_best_response",
+    "move_order_of",
     "warm_started_best_response",
 ]

@@ -53,9 +53,10 @@ from typing import (
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.game.batch import _BatchState, batch_best_response
+from repro.game.batch import batch_best_response
 from repro.game.congestion import Profile, SingletonCongestionGame
-from repro.game.engine import IMPROVEMENT_EPS, CompiledGame
+from repro.game.engine import CompiledGame
+from repro.game.equilibrium import certify_equilibrium
 from repro.market.compiled import CompiledMarket
 from repro.market.shard import (
     MarketPartition,
@@ -184,25 +185,6 @@ def game_from_compiled(
         # ``provider_ids`` is the live id list (tombstoned rows removed).
         players = list(cm.provider_ids)
     return _TableGame(cm, players)
-
-
-def certify_equilibrium(
-    game: SingletonCongestionGame,
-    profile: Mapping[int, int],
-    movable: Optional[Iterable[int]] = None,
-    compiled: Optional[CompiledGame] = None,
-) -> bool:
-    """One vectorised Jacobi propose: can any movable player strictly
-    improve?  ``False`` means the profile is not a Nash equilibrium of
-    ``game`` (restricted to the movable population)."""
-    movable_set = set(movable) if movable is not None else set(game.players)
-    move_order = [p for p in game.players if p in movable_set]
-    if not move_order:
-        return True
-    c = compiled if compiled is not None else game.compile()
-    state = _BatchState(c, dict(profile), move_order)
-    _targets, best, cur_cost = state.propose(0)
-    return not bool(np.any(best < cur_cost - IMPROVEMENT_EPS))
 
 
 def _settle_shard(

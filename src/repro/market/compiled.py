@@ -93,62 +93,54 @@ class _ProviderRowBuilder:
     produced — same operand order, same memoised routing rows.
     """
 
-    def __init__(self, market: "ServiceMarket") -> None:
+    def __init__(
+        self, market: "ServiceMarket", providers: Sequence["ServiceProvider"]
+    ) -> None:
         model = market.cost_model
         net = market.network
         self.model = model
-        self.routing = net.routing
-        self.cl_nodes = [cl.node_id for cl in net.cloudlets]
         self.transmit = model.pricing.transmit_per_gb
         self.surcharge = model.pricing.hop_surcharge
         self.budget = model.latency_budget_ms
         self.bdw_units = np.array(
             [cl.bdw_unit_cost for cl in net.cloudlets], dtype=float
         )
-        # One single-source row per distinct endpoint (user nodes, home
-        # DCs), gathered over the cloudlet columns. Values are the same
-        # memoised BFS/Dijkstra results the per-pair queries return.
-        self._hop_cache: Dict[int, np.ndarray] = {}
-        self._delay_cache: Dict[int, np.ndarray] = {}
-
-    def hops_to_cloudlets(self, u: int) -> np.ndarray:
-        arr = self._hop_cache.get(u)
-        if arr is None:
-            row = self.routing.hop_row(u)
-            arr = np.array([row[v] for v in self.cl_nodes], dtype=float)
-            self._hop_cache[u] = arr
-        return arr
-
-    def delays_to_cloudlets(self, u: int) -> np.ndarray:
-        arr = self._delay_cache.get(u)
-        if arr is None:
-            row = self.routing.delay_row(u)
-            arr = np.array([row[v] for v in self.cl_nodes], dtype=float)
-            self._delay_cache[u] = arr
-        return arr
+        # Every endpoint of the providers to build (cluster nodes and home
+        # DCs for hops; user nodes, plus cluster nodes under a latency
+        # budget, for delays) is collected first, so each kind of routing
+        # row is fetched in one call and gathered over the cloudlet columns.
+        cl_nodes = [cl.node_id for cl in net.cloudlets]
+        svcs = [p.service for p in providers]
+        clusters = [node for svc in svcs for node, _w in svc.clusters]
+        hop_src = list(dict.fromkeys(clusters + [svc.home_dc for svc in svcs]))
+        delay_src = list(dict.fromkeys(
+            [svc.user_node for svc in svcs] + (clusters if self.budget is not None else [])
+        ))
+        self._hops = dict(zip(hop_src, net.routing.hop_rows(hop_src, cl_nodes)))
+        self._delays = dict(zip(delay_src, net.routing.delay_rows(delay_src, cl_nodes)))
 
     def build(self, p: "ServiceProvider") -> _ProviderRow:
         svc = p.service
-        m = len(self.cl_nodes)
+        m = len(self.bdw_units)
         # access_cost: per-cluster transmission charges, folded in
         # cluster order — volume * price * (1 + surcharge * hops).
         acc = np.zeros(m, dtype=float)
         for node, weight in svc.clusters:
             volume_price = (svc.request_traffic_gb * weight) * self.transmit
             acc = acc + volume_price * (
-                1.0 + self.surcharge * self.hops_to_cloudlets(node)
+                1.0 + self.surcharge * self._hops[node]
             )
         # update_cost: cloudlet bandwidth charge plus the hop-scaled
         # consistency-update transit back to the home data center.
         vol = svc.update_volume_gb
         upd = self.bdw_units * vol + (vol * self.transmit) * (
-            1.0 + self.surcharge * self.hops_to_cloudlets(svc.home_dc)
+            1.0 + self.surcharge * self._hops[svc.home_dc]
         )
         access_delay: Optional[np.ndarray] = None
         if self.budget is not None:
             dly = np.zeros(m, dtype=float)
             for node, weight in svc.clusters:
-                dly = dly + weight * self.delays_to_cloudlets(node)
+                dly = dly + weight * self._delays[node]
             access_delay = dly
         return _ProviderRow(
             instantiation=self.model.instantiation_cost(p),
@@ -156,7 +148,7 @@ class _ProviderRowBuilder:
             demand=np.array([p.compute_demand, p.bandwidth_demand], dtype=float),
             access=acc,
             update=upd,
-            user_delay=self.delays_to_cloudlets(svc.user_node),
+            user_delay=self._delays[svc.user_node],
             access_delay=access_delay,
         )
 
@@ -334,7 +326,7 @@ class CompiledMarket:
         if m == 0:
             raise ConfigurationError("market network has no cloudlets to compile")
 
-        builder = _ProviderRowBuilder(market)
+        builder = _ProviderRowBuilder(market, providers)
         budget = model.latency_budget_ms
 
         instantiation = np.empty(n, dtype=float)
@@ -470,7 +462,7 @@ class CompiledMarket:
                 grow = len(arrivals) - len(self._free_rows)
                 if grow > 0:
                     self._grow_rows(grow)
-                builder = _ProviderRowBuilder(market)
+                builder = _ProviderRowBuilder(market, arrivals)
                 for p in arrivals:
                     row = self._free_rows.pop()
                     built = builder.build(p)

@@ -130,7 +130,8 @@ class MECNetwork:
     # ------------------------------------------------------------------ #
     @property
     def routing(self) -> RoutingTable:
-        """Lazily computed all-pairs shortest-path routing table."""
+        """The shortest-path routing table: per-source rows, computed lazily
+        in batches and cached (never all pairs eagerly)."""
         if self._routing is None:
             self._routing = RoutingTable(self.graph)
         return self._routing

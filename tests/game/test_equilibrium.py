@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.exceptions import InfeasibleError
 from repro.game.congestion import SingletonCongestionGame
-from repro.game.equilibrium import best_deviation, is_nash_equilibrium
+from repro.game.equilibrium import best_deviation, certify_equilibrium, is_nash_equilibrium
 
 
 def make_game(fixed=None, cap=None):
@@ -77,3 +78,25 @@ class TestIsNash:
         assert is_nash_equilibrium(game, profile)
         loose = make_game(fixed={(0, "b"): -0.5})
         assert not is_nash_equilibrium(loose, profile)
+
+
+class TestUnknownMovableIds:
+    """A movable id that is not a player is a caller error, reported the
+    way the best-response engines report it — never a stray ``KeyError``,
+    a priced non-player, or a silently dropped id."""
+
+    @pytest.mark.parametrize("movable", [[7], [0, "ghost"]])
+    def test_is_nash_equilibrium_raises(self, movable):
+        game = make_game()
+        with pytest.raises(InfeasibleError, match="unknown players"):
+            is_nash_equilibrium(game, {0: "a", 1: "a", 2: "b", 7: "a"}, movable=movable)
+
+    @pytest.mark.parametrize("movable", [[7], [0, "ghost"]])
+    def test_certify_equilibrium_raises(self, movable):
+        game = make_game()
+        with pytest.raises(InfeasibleError, match="unknown players"):
+            certify_equilibrium(game, {0: "a", 1: "a", 2: "b"}, movable=movable)
+
+    def test_best_deviation_raises_for_a_non_player(self):
+        with pytest.raises(InfeasibleError, match="unknown players"):
+            best_deviation(make_game(), 7, {0: "a", 1: "a", 2: "b", 7: "a"})
