@@ -7,10 +7,18 @@ Steps (Section III.B):
 3. solve GAP — the paper uses the Shmoys–Tardos approximation [34]; every
    item of this reduction weighs one slot, so the GAP is a rectangular
    assignment problem with an integral LP, and the default solver
-   (``"assignment"``, :func:`~repro.gap.assignment.assignment_gap`) finds
-   its exact optimum directly. ``"shmoys_tardos"`` stays available by name
-   as the paper reference; on this reduction it reaches the same optimum
-   through the LP;
+   (``"assignment"``) finds its exact optimum directly. The slots of one
+   cloudlet differ only by a slot charge that no provider influences, so
+   on the compiled representation the assignment collapses to a
+   transportation problem over the *physical* cloudlets (plus the remote
+   bin), each selling its slot charges sorted ascending — exactly the slots
+   an optimal dense assignment fills, with no convexity precondition on the
+   congestion function — and :func:`~repro.gap.transport.solve_transport`
+   solves it without ever building the ``n × V`` instance. The object
+   representation keeps the dense instance and
+   :func:`~repro.gap.assignment.assignment_gap` as the reference.
+   ``"shmoys_tardos"`` stays available by name as the paper reference; on
+   this reduction it reaches the same optimum through the LP;
 4. move every service assigned to a virtual cloudlet of ``CL_i`` onto the
    real ``CL_i``.
 
@@ -38,6 +46,7 @@ from repro.gap.greedy import greedy_gap
 from repro.gap.instance import GAPInstance, GAPSolution
 from repro.gap.ladder import solve_with_degradation
 from repro.gap.shmoys_tardos import shmoys_tardos
+from repro.gap.transport import solve_transport
 from repro.gap.exact import exact_gap
 from repro.market.compiled import CompiledMarket, resolve_compiled
 from repro.market.market import ServiceMarket
@@ -311,13 +320,14 @@ def appro(
         as the reference), ``"greedy"`` or ``"exact"`` — the latter three
         support ablation A4.
     representation:
-        ``"compiled"`` (default) builds the GAP instance and runs the
-        repair from the market's array-backed
-        :class:`~repro.market.compiled.CompiledMarket` and assembles the
-        GAP LP from the instance arrays in bulk; ``"object"`` queries the
-        cost model object graph and keeps the per-pair LP assembly — the
-        reference path the differential tests compare against. Both
-        produce the identical assignment.
+        ``"compiled"`` (default) builds the GAP — the collapsed transport
+        form for ``"assignment"``, the virtual-cloudlet instance for the
+        other solvers — and runs the repair from the market's array-backed
+        :class:`~repro.market.compiled.CompiledMarket`, assembling any GAP
+        LP from the instance arrays in bulk; ``"object"`` queries the cost
+        model object graph for the dense instance and keeps the per-pair LP
+        assembly — the reference path the differential tests compare
+        against. Both produce the identical assignment.
     compiled:
         An explicit precompiled market (e.g. shipped to a sweep worker);
         default compiles on demand and caches on the market instance.
@@ -401,9 +411,24 @@ def appro(
         split = VirtualCloudletSplit(
             market, allow_remote=allow_remote, slot_pricing=slot_pricing
         )
-        instance = split.build_gap_instance(compiled=cm)
-        solution: GAPSolution = solve(instance)
-        placement, gap_rejected = split.merge_assignment(solution.assignment)
+        degradation: Optional[object] = None
+        if gap_solver == "assignment" and cm is not None:
+            costs, charges = split.build_transport(cm)
+            destination = solve_transport(costs, charges).destination
+            placement, gap_rejected = split.merge_destinations(destination, cm)
+        else:
+            instance = split.build_gap_instance(compiled=cm)
+            solution: GAPSolution = solve(instance)
+            placement, gap_rejected = split.merge_assignment(solution.assignment)
+            degradation = solution.degradation
+        if gap_solver == "assignment":
+            # Exact on either representation: the same exactly rounded sum
+            # of the merged placement's terms, and — the GAP LP being
+            # integral — its own lower bound.
+            gap_cost = split.merged_cost(placement, gap_rejected, compiled=cm)
+            gap_lower_bound: Optional[float] = gap_cost
+        else:
+            gap_cost, gap_lower_bound = solution.cost, solution.lower_bound
         placement, repair_rejected, moves = _repair_capacities(
             market, placement, compiled=cm
         )
@@ -415,15 +440,15 @@ def appro(
         algorithm=f"Appro[{gap_solver}]",
         runtime_s=watch.elapsed,
         info={
-            "gap_cost": solution.cost,
-            "gap_lower_bound": solution.lower_bound,
+            "gap_cost": gap_cost,
+            "gap_lower_bound": gap_lower_bound,
             "delta": split.delta,
             "kappa": split.kappa,
             "n_prime_max": split.n_prime_max,
-            "virtual_cloudlets": len(split.virtual_cloudlets),
+            "virtual_cloudlets": split.n_virtual,
             "repair_moves": moves,
             "ratio_bound": 2.0 * split.delta * split.kappa,
-            "degradation": solution.degradation,
+            "degradation": degradation,
         },
     )
 

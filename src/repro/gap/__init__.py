@@ -10,7 +10,12 @@ measure empirical ratios.
 
 Appro's reduction gives every item the same weight, which makes its GAP a
 rectangular assignment problem with an integral LP; :func:`assignment_gap`
-solves exactly that case, and is Appro's default solver.
+solves exactly that case for any uniform-weight instance. In Appro's
+instances the slots of one cloudlet differ only by a slot charge, so the
+assignment is a transportation problem over the physical cloudlets whose
+sorted slot charges are the ones an optimum fills (no convexity
+precondition); :func:`solve_transport` solves that collapsed form and is
+Appro's default on the compiled representation.
 """
 
 from repro.gap.instance import GAPInstance, GAPSolution
@@ -19,6 +24,7 @@ from repro.gap.shmoys_tardos import shmoys_tardos
 from repro.gap.greedy import MODES as GREEDY_MODES, greedy_gap
 from repro.gap.exact import exact_gap
 from repro.gap.assignment import assignment_gap, uniform_weight
+from repro.gap.transport import TransportSolution, solve_transport
 from repro.gap.ladder import DegradationEvent, solve_with_degradation
 
 __all__ = [
@@ -30,6 +36,8 @@ __all__ = [
     "solve_lp_relaxation",
     "LPRelaxationResult",
     "shmoys_tardos",
+    "TransportSolution",
+    "solve_transport",
     "solve_with_degradation",
     "greedy_gap",
     "GREEDY_MODES",
