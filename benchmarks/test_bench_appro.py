@@ -36,7 +36,7 @@ def _dense_appro(market):
     split = VirtualCloudletSplit(market, allow_remote=True)
     solution = assignment_gap(split.build_gap_instance(compiled=cm))
     placement, rejected = split.merge_assignment(solution.assignment)
-    placement, repair_rejected, _ = _repair_capacities(market, placement, compiled=cm)
+    placement, repair_rejected, _ = _repair_capacities(market, placement, cm)
     return placement, rejected | repair_rejected
 
 

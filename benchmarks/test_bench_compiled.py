@@ -1,9 +1,10 @@
 """Compiled-representation benchmarks (writes ``BENCH_compiled.json``).
 
 Times the array-backed :class:`~repro.market.compiled.CompiledMarket` paths
-against the object-graph reference pipeline (``representation="object"``:
-per-pair cost-model queries, scalar GAP build, scalar LP assembly, scalar
-greedy rounds, per-game table recompilation) on the same markets:
+against the object-graph reference pipeline of ``tests/oracles/``
+(:func:`object_appro` / :func:`object_lcf`: per-pair cost-model queries,
+scalar GAP build, scalar LP assembly, scalar greedy rounds, per-game table
+recompilation) on the same markets:
 
 * **Appro per call** — one Algorithm 1 run on a warmed market, for both GAP
   solvers;
@@ -31,6 +32,8 @@ from repro.market.workload import generate_market
 from repro.network.generators import random_mec_network
 
 from benchmarks.conftest import bench_path, record_bench
+from tests.oracles.appro import object_appro
+from tests.oracles.lcf import object_lcf
 
 RESULTS_PATH = bench_path("BENCH_compiled.json")
 
@@ -65,17 +68,17 @@ def test_bench_appro_per_call(emit):
     payload = {"n_nodes": N_NODES, "n_providers": N_PROVIDERS}
     speedups = {}
     for solver in ("greedy", "shmoys_tardos"):
-        compiled = appro(market, gap_solver=solver, representation="compiled")
-        obj = appro(market, gap_solver=solver, representation="object")
+        compiled = appro(market, gap_solver=solver)
+        obj = object_appro(market, gap_solver=solver)
         assert compiled.placement == obj.placement
         assert compiled.rejected == obj.rejected
         assert compiled.social_cost == obj.social_cost
 
         t_c = _best_of(
-            lambda s=solver: appro(market, gap_solver=s, representation="compiled")
+            lambda s=solver: appro(market, gap_solver=s)
         )
         t_o = _best_of(
-            lambda s=solver: appro(market, gap_solver=s, representation="object")
+            lambda s=solver: object_appro(market, gap_solver=s)
         )
         speedups[solver] = t_o / t_c
         payload[solver] = {
@@ -98,15 +101,14 @@ def _xi_sweep(representation: str, gap_solver: str) -> float:
     """The Fig. 3 sweep shape: per repetition one market, every xi evaluated
     on it (serial; both representations run the identical schedule).
     Returns the summed social cost as the correctness fingerprint."""
+    run = lcf if representation == "compiled" else object_lcf
     total = 0.0
     for rep in range(REPETITIONS):
         market = _make_market(100 + rep)
         if representation == "compiled":
             market.compile()
         for xi in XI_VALUES:
-            result = lcf(
-                market, xi=xi, gap_solver=gap_solver, representation=representation
-            )
+            result = run(market, xi=xi, gap_solver=gap_solver)
             total += result.assignment.social_cost
     return total
 

@@ -4,8 +4,8 @@ How fast can the market absorb cloudlet failures?  The same outage trace
 is replayed against two recovery paths:
 
 * **cold replan** — the reference: market object graph rebuilt every
-  epoch, every epoch replanned from a cold LCF start, outages absorbed by
-  yet another cold replan;
+  epoch (``tests/oracles/dynamics.py``), every epoch replanned from a cold
+  LCF start, outages absorbed by yet another cold replan;
 * **warm failover** — the fault-tolerant path this PR ships: one
   persistent delta-patched compiled market, displaced providers re-enter
   greedily at posted prices, survivors never move.
@@ -31,6 +31,7 @@ from repro.network.generators import random_mec_network
 from repro.utils.tables import Table
 
 from benchmarks.conftest import bench_path, record_bench
+from tests.oracles.dynamics import ObjectRebuildSimulation
 
 RESULTS_PATH = bench_path("BENCH_outages.json")
 
@@ -58,7 +59,7 @@ def _best_of(fn, repeats: int = 2):
     return best_t, out
 
 
-def _run(policy, representation, warm_start, recovery):
+def _run(policy, simulation, warm_start, recovery):
     # Fresh network + trace per run: outages zero the live cloudlet
     # capacities, so arms must not share topology objects.
     network = random_mec_network(N_NODES, rng=1)
@@ -67,9 +68,8 @@ def _run(policy, representation, warm_start, recovery):
         rng=3, initial_population=INITIAL_POPULATION,
     )
     trace = IndependentOutageTrace(network, mttf=MTTF, mttr=MTTR, rng=5)
-    sim = DynamicMarketSimulation(
-        network, population, policy=policy,
-        representation=representation, warm_start=warm_start,
+    sim = simulation(
+        network, population, policy=policy, warm_start=warm_start,
         outages=trace, recovery=recovery,
     )
     return sim.run(EPOCHS)
@@ -79,15 +79,15 @@ def test_bench_outage_recovery(emit):
     """Warm failover vs warm replan vs the cold-replan reference."""
     arms = {
         "cold_replan": dict(
-            policy="replan", representation="object",
+            policy="replan", simulation=ObjectRebuildSimulation,
             warm_start=False, recovery="replan",
         ),
         "warm_replan": dict(
-            policy="replan", representation="compiled",
+            policy="replan", simulation=DynamicMarketSimulation,
             warm_start=True, recovery="replan",
         ),
         "warm_failover": dict(
-            policy="incremental", representation="compiled",
+            policy="incremental", simulation=DynamicMarketSimulation,
             warm_start=True, recovery="failover",
         ),
     }

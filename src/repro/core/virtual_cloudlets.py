@@ -40,7 +40,6 @@ from repro.exceptions import ConfigurationError, InfeasibleError
 from repro.gap.instance import GAPInstance
 from repro.market.compiled import CompiledMarket
 from repro.market.market import ServiceMarket
-from repro.network.elements import Cloudlet
 
 
 @dataclass(frozen=True)
@@ -166,34 +165,33 @@ class VirtualCloudletSplit:
         """Items = providers (in id order), bins = virtual cloudlets, plus
         the remote bin when ``allow_remote`` is set.
 
-        With a :class:`CompiledMarket` the cost matrix is assembled from
-        the precomputed tables (one broadcast add of :meth:`_slot_charges`)
-        instead of querying the cost model per (provider, slot) pair; the
-        entries are bit-equal because both paths add/multiply the same
-        doubles.
+        The cost matrix is one broadcast add of :meth:`_slot_charges` to
+        the fixed-cost table of ``compiled`` (default: the market's own
+        compile, built on demand and cached on the market).
         """
-        if compiled is not None:
-            return self._build_gap_instance_compiled(compiled)
-        providers = self.market.providers
-        n = len(providers)
+        cm = compiled if compiled is not None else self.market.compile()
+        n = cm.n_providers
         n_virtual = self.n_virtual
         m = n_virtual + (1 if self.allow_remote else 0)
         costs = np.zeros((n, m))
         weights = np.full((n, m), self.slot_capacity)
-        model = self.market.cost_model
-        net = self.market.network
-        for j, provider in enumerate(providers):
-            for vc in self.virtual_cloudlets:
-                cloudlet = net.cloudlet_at(vc.cloudlet_node)
-                costs[j, vc.index] = self._object_slot_charge(
-                    cloudlet, vc.slot + 1
-                ) + model.fixed_cost(provider, cloudlet)
-            if self.allow_remote:
-                costs[j, n_virtual] = model.remote_cost(provider)
+        # GAP item j is the j-th provider in id order; after delta patches
+        # the compiled rows are not id-ordered, so gather through the
+        # active-row map (a no-op reindex on a dense compile).
+        rows = cm.active_rows
+        if n_virtual:
+            cols = np.repeat(
+                [cm.cloudlet_index[node] for node in self.n_i], list(self.n_i.values())
+            )
+            costs[:, :n_virtual] = self._slot_charges(cm)[None, :] + cm.fixed[
+                np.ix_(rows, cols)
+            ]
+        if self.allow_remote:
+            costs[:, n_virtual] = cm.remote[rows]
         return GAPInstance(costs=costs, weights=weights, capacities=self._capacities(n))
 
-    def _object_slot_charge(self, cloudlet: Cloudlet, k: int) -> float:
-        """The charge of slot ``k >= 1`` of ``cloudlet``, from the cost model.
+    def _slot_charges(self, cm: CompiledMarket) -> np.ndarray:
+        """Every virtual cloudlet's slot charge, in GAP bin order.
 
         ``"flat"`` is the paper's Eq. (9) term ``alpha_i + beta_i``. Under
         ``"marginal"`` slot k carries the marginal social congestion charge
@@ -204,16 +202,6 @@ class VirtualCloudletSplit:
         social cost (Eq. 6) exactly, which is what makes the coordinated
         placement worth following.
         """
-        coeff = cloudlet.alpha + cloudlet.beta
-        if self.slot_pricing == "flat":
-            return coeff
-        g = self.market.cost_model.congestion
-        return coeff * (k * g(k) - (k - 1) * g(k - 1))
-
-    def _slot_charges(self, cm: CompiledMarket) -> np.ndarray:
-        """Every virtual cloudlet's slot charge, in GAP bin order, from the
-        compiled tables: :meth:`_object_slot_charge` vectorised (the same
-        doubles combined in the same order, so the values are bit-equal)."""
         counts = np.fromiter(self.n_i.values(), dtype=np.int64, count=len(self.n_i))
         cols = [cm.cloudlet_index[node] for node in self.n_i]
         coeff = np.repeat(cm.coeff[cols], counts)
@@ -240,29 +228,6 @@ class VirtualCloudletSplit:
         if self.allow_remote:
             caps[-1] = n * self.slot_capacity
         return caps
-
-    def _build_gap_instance_compiled(self, cm: CompiledMarket) -> GAPInstance:
-        """Table-backed :meth:`build_gap_instance` (same instance, no
-        per-pair cost-model calls)."""
-        n = cm.n_providers
-        n_virtual = self.n_virtual
-        m = n_virtual + (1 if self.allow_remote else 0)
-        costs = np.zeros((n, m))
-        weights = np.full((n, m), self.slot_capacity)
-        # GAP item j is the j-th provider in id order; after delta patches
-        # the compiled rows are not id-ordered, so gather through the
-        # active-row map (a no-op reindex on a dense compile).
-        rows = cm.active_rows
-        if n_virtual:
-            cols = np.repeat(
-                [cm.cloudlet_index[node] for node in self.n_i], list(self.n_i.values())
-            )
-            costs[:, :n_virtual] = self._slot_charges(cm)[None, :] + cm.fixed[
-                np.ix_(rows, cols)
-            ]
-        if self.allow_remote:
-            costs[:, n_virtual] = cm.remote[rows]
-        return GAPInstance(costs=costs, weights=weights, capacities=self._capacities(n))
 
     def build_transport(self, cm: CompiledMarket) -> Tuple[np.ndarray, List[np.ndarray]]:
         """The reduction collapsed onto the physical cloudlets, for
@@ -330,10 +295,7 @@ class VirtualCloudletSplit:
         return placement, rejected
 
     def merged_cost(
-        self,
-        placement: Dict[int, int],
-        rejected: Set[int],
-        compiled: Optional[CompiledMarket] = None,
+        self, placement: Dict[int, int], rejected: Set[int], cm: CompiledMarket
     ) -> float:
         """The GAP objective behind a merged placement, as one exactly
         rounded sum (``math.fsum``) of its terms: each placed provider's
@@ -343,30 +305,17 @@ class VirtualCloudletSplit:
 
         An optimal GAP solution fills each cloudlet's cheapest slots, so
         this is its cost, and it does not depend on which provider an exact
-        solver put on which slot: the dense and the collapsed solvers, on
-        either representation, report the same double.
+        solver put on which slot: the dense and the collapsed solvers
+        report the same double.
         """
         counts = Counter(placement.values())
-        terms: List[float] = []
-        if compiled is not None:
-            cm = compiled
-            rows = [cm.provider_index[pid] for pid in placement]
-            cols = [cm.cloudlet_index[node] for node in placement.values()]
-            terms += cm.fixed[rows, cols].tolist()
-            terms += cm.remote[[cm.provider_index[pid] for pid in rejected]].tolist()
-            charges = self._sorted_charges(cm)
-            for node, c in counts.items():
-                terms += charges[node][:c].tolist()
-        else:
-            model = self.market.cost_model
-            net = self.market.network
-            for pid, node in placement.items():
-                terms.append(model.fixed_cost(self.market.provider(pid), net.cloudlet_at(node)))
-            terms += [model.remote_cost(self.market.provider(pid)) for pid in rejected]
-            for node, c in counts.items():
-                cloudlet = net.cloudlet_at(node)
-                slots = range(1, self.n_i[node] + 1)
-                terms += sorted(self._object_slot_charge(cloudlet, k) for k in slots)[:c]
+        rows = [cm.provider_index[pid] for pid in placement]
+        cols = [cm.cloudlet_index[node] for node in placement.values()]
+        terms: List[float] = cm.fixed[rows, cols].tolist()
+        terms += cm.remote[[cm.provider_index[pid] for pid in rejected]].tolist()
+        charges = self._sorted_charges(cm)
+        for node, c in counts.items():
+            terms += charges[node][:c].tolist()
         return math.fsum(terms)
 
 

@@ -20,8 +20,7 @@ that temporal dimension on top of the static mechanism:
 
 Epochs mutate one persistent market through
 :class:`~repro.market.delta.MarketDelta` (delta-patched compiled tables,
-warm-started replans); ``representation="object"`` keeps the rebuild-
-from-scratch reference path for differential testing.
+warm-started replans).
 """
 
 from repro.dynamics.population import PopulationEvent, PopulationProcess

@@ -44,10 +44,9 @@ Epochs run on the mutation protocol: the simulation keeps **one** persistent
 :class:`~repro.market.compiled.CompiledMarket` in place (tombstone/append
 rows) instead of recompiling; replans are *warm-started* from the previous
 epoch's LCF result (survivors keep strategies, only newcomers are placed —
-the GAP LP is skipped entirely). ``representation="object"`` keeps the
-pre-refactor reference behaviour — a fresh market object graph every epoch —
-as the differential-testing oracle: for the same policy and ``warm_start``
-setting the two representations bill bit-identical costs every epoch, which
+the GAP LP is skipped entirely). Every epoch bills bit-identically to a
+reference that rebuilds the market object graph from scratch each epoch
+(``tests/oracles/dynamics.py``), which
 ``tests/dynamics/test_delta_equivalence.py`` pins over long churn traces.
 """
 
@@ -64,7 +63,6 @@ from repro.game.best_response import ENGINES
 from repro.game.partitioned import partitioned_best_response
 from repro.dynamics.population import PopulationEvent, PopulationProcess
 from repro.exceptions import ConfigurationError
-from repro.market.compiled import REPRESENTATIONS
 from repro.market.costs import CongestionFunction
 from repro.market.delta import MarketDelta
 from repro.market.market import ServiceMarket
@@ -72,7 +70,7 @@ from repro.market.pricing import Pricing
 from repro.market.service import ServiceProvider
 from repro.market.shard import MarketPartition, ShardLog, partition_market
 from repro.network.topology import MECNetwork
-from repro.utils.validation import CAPACITY_EPS, check_fraction
+from repro.utils.validation import check_fraction
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.runtime import CheckpointJournal, Runtime
@@ -208,12 +206,6 @@ class DynamicMarketSimulation:
     policy:
         ``"replan"``, ``"incremental"`` or ``"hysteresis"`` (see the
         module docstring).
-    representation:
-        ``"compiled"`` (default) keeps one persistent market whose
-        compiled tables are delta-patched every epoch; ``"object"``
-        rebuilds the market object graph from scratch each epoch — the
-        pre-refactor reference path the differential tests compare
-        against. Both bill identical costs.
     warm_start:
         Warm-start each replan from the previous replan's LCF result
         (survivors keep strategies, newcomers enter greedily, no GAP LP).
@@ -248,8 +240,7 @@ class DynamicMarketSimulation:
         :func:`~repro.game.partitioned.partitioned_best_response` —
         epoch churn rides the sequence-numbered
         :class:`~repro.market.shard.ShardLog` replication log alongside
-        the compiled-table deltas. Requires
-        ``representation="compiled"``.
+        the compiled-table deltas.
     n_shards / boundary_rounds:
         Shard count for :func:`~repro.market.shard.partition_market`
         (default: one shard per cloudlet-bearing region) and the cap on
@@ -273,7 +264,7 @@ class DynamicMarketSimulation:
         store.  Host loss surfaces through the runtime's quarantine
         machinery; when the live-host set drops below the transport's
         floor the settle degrades to a local pool and records a
-        :class:`~repro.runtime.remote.DegradationEvent`.
+        :class:`~repro.events.DegradationEvent`.
     shard_journal:
         Optional :class:`~repro.runtime.CheckpointJournal`
         handed to the :class:`~repro.market.shard.ShardLog`: every routed
@@ -295,7 +286,6 @@ class DynamicMarketSimulation:
         latency_budget_ms: Optional[float] = None,
         migration_setup_cost: float = 0.1,
         trace: Optional[Callable[[int], float]] = None,
-        representation: str = "compiled",
         warm_start: bool = True,
         gap_solver: str = "assignment",
         hysteresis_threshold: float = 0.15,
@@ -318,10 +308,6 @@ class DynamicMarketSimulation:
             raise ConfigurationError(
                 f"sharding must be one of {_SHARDING}, got {sharding!r}"
             )
-        if sharding == "region" and representation != "compiled":
-            raise ConfigurationError(
-                "sharding='region' runs on the compiled representation only"
-            )
         if boundary_rounds < 1:
             raise ConfigurationError(
                 f"boundary_rounds must be >= 1, got {boundary_rounds}"
@@ -329,11 +315,6 @@ class DynamicMarketSimulation:
         if recovery not in _RECOVERY_POLICIES:
             raise ConfigurationError(
                 f"recovery must be one of {_RECOVERY_POLICIES}, got {recovery!r}"
-            )
-        if representation not in REPRESENTATIONS:
-            raise ConfigurationError(
-                f"representation must be one of {REPRESENTATIONS}, "
-                f"got {representation!r}"
             )
         if hysteresis_threshold < 0:
             raise ConfigurationError(
@@ -367,7 +348,6 @@ class DynamicMarketSimulation:
         #: :class:`repro.dynamics.traces.DiurnalTrace`); when given, the
         #: population's arrival rate is retargeted before every epoch.
         self.trace = trace
-        self.representation = representation
         self.warm_start = warm_start
         self.gap_solver = gap_solver
         self.hysteresis_threshold = hysteresis_threshold
@@ -381,8 +361,8 @@ class DynamicMarketSimulation:
         #: provider_id -> cloudlet node of the *currently cached* instance.
         self.placement: Dict[int, int] = {}
         self.rejected: Set[int] = set()
-        #: The persistent delta-patched market (compiled representation
-        #: only; the object arm rebuilds per epoch).
+        #: The persistent delta-patched market, built at the first epoch
+        #: with providers.
         self.market: Optional[ServiceMarket] = None
         self._last_result: Optional[LCFResult] = None
         self._anchor_cost: Optional[float] = None
@@ -449,18 +429,12 @@ class DynamicMarketSimulation:
         self, market: ServiceMarket, placement: Dict[int, int], rejected: Set[int]
     ) -> float:
         """Epoch social cost: Eq. (6) over the placed providers plus the
-        remote-serving cost of the rejected ones (folded in id order, so
-        the compiled and object arms sum identically)."""
-        if self.representation == "compiled":
-            cm = market.compile()
-            total = cm.social_cost(placement)
-            for pid in sorted(rejected):
-                total += cm.remote_cost(pid)
-            return total
-        model = market.cost_model
-        total = model.social_cost(market.providers_by_id(), placement)
+        remote-serving cost of the rejected ones, folded in id order (the
+        order the object-graph reference sums in, so the floats agree)."""
+        cm = market.compile()
+        total = cm.social_cost(placement)
         for pid in sorted(rejected):
-            total += model.remote_cost(market.provider(pid))
+            total += cm.remote_cost(pid)
         return total
 
     # ------------------------------------------------------------------ #
@@ -504,21 +478,10 @@ class DynamicMarketSimulation:
     def _advance_market(
         self, delta: MarketDelta, providers: List[ServiceProvider]
     ) -> ServiceMarket:
-        """One epoch's market: delta-patch the persistent one (compiled)
-        or rebuild from scratch (object, the pre-refactor reference).
-
-        Outages still route through the protocol on the object arm: the
-        fresh market gets one cumulative ``MarketDelta(outages=...)`` for
-        everything currently down (and :meth:`step` recovers them again
-        before the epoch ends, since the rebuilt markets share one
-        network whose cloudlets must re-enter each epoch nominal).
-        """
+        """One epoch's market: the persistent one, delta-patched (built on
+        the first epoch with providers, with everything currently down
+        applied as one cumulative outage delta)."""
         down = self.outages.failed if self.outages is not None else ()
-        if self.representation != "compiled":
-            market = self._market(providers)
-            if down:
-                market.apply(MarketDelta(outages=down))
-            return market
         if self.market is None:
             self.market = self._market(providers)
             self.market.compile()
@@ -539,7 +502,6 @@ class DynamicMarketSimulation:
             xi=self.xi,
             allow_remote=True,
             gap_solver=self.gap_solver,
-            representation=self.representation,
             warm_start=warm,
             engine=self.engine,
         )
@@ -556,56 +518,21 @@ class DynamicMarketSimulation:
         }
         rejected = {pid for pid in self.rejected if pid in present}
 
-        if self.representation == "compiled":
-            cm = market.compile()
-            loads = cm.load_matrix(placement)
-            for pid in sorted(arrivals):
-                row = cm.provider_row(pid)
-                # Posted price sheet: congestion at its face value of one
-                # occupant plus the fixed cost — the same two terms, in
-                # the same order, as `model.cost(provider, cl, 1)`.
-                costs = cm.shared[:, 1] + cm.fixed[row]
-                costs = np.where(cm.fits_mask(row, loads), costs, np.inf)
-                j = int(np.argmin(costs))
-                if not costs[j] < cm.remote[row]:
-                    rejected.add(pid)
-                    continue
-                placement[pid] = cm.cloudlet_nodes[j]
-                loads[j] += cm.demand[row]
-            return placement, rejected
-
-        model = market.cost_model
-        obj_loads: Dict[int, List[float]] = {
-            cl.node_id: [0.0, 0.0] for cl in self.network.cloudlets
-        }
-        for pid, node in placement.items():
-            provider = market.provider(pid)
-            obj_loads[node][0] += provider.compute_demand
-            obj_loads[node][1] += provider.bandwidth_demand
-
+        cm = market.compile()
+        loads = cm.load_matrix(placement)
         for pid in sorted(arrivals):
-            provider = market.provider(pid)
-            best_node = None
-            best_cost = model.remote_cost(provider)
-            for cl in self.network.cloudlets:
-                node = cl.node_id
-                if (
-                    obj_loads[node][0] + provider.compute_demand
-                    > cl.compute_capacity + CAPACITY_EPS
-                    or obj_loads[node][1] + provider.bandwidth_demand
-                    > cl.bandwidth_capacity + CAPACITY_EPS
-                ):
-                    continue
-                cost = model.cost(provider, cl, 1)  # posted price sheet
-                if cost < best_cost:
-                    best_cost = cost
-                    best_node = node
-            if best_node is None:
+            row = cm.provider_row(pid)
+            # Posted price sheet: congestion at its face value of one
+            # occupant plus the fixed cost — the same two terms, in the
+            # same order, as `model.cost(provider, cl, 1)`.
+            costs = cm.shared[:, 1] + cm.fixed[row]
+            costs = np.where(cm.fits_mask(row, loads), costs, np.inf)
+            j = int(np.argmin(costs))
+            if not costs[j] < cm.remote[row]:
                 rejected.add(pid)
                 continue
-            placement[pid] = best_node
-            obj_loads[best_node][0] += provider.compute_demand
-            obj_loads[best_node][1] += provider.bandwidth_demand
+            placement[pid] = cm.cloudlet_nodes[j]
+            loads[j] += cm.demand[row]
         return placement, rejected
 
     def _hysteresis(
@@ -662,7 +589,7 @@ class DynamicMarketSimulation:
             # The market died out this epoch: keep the persistent market's
             # tables in sync (it may refill later) and reset the warm state
             # — the next population starts a fresh history.
-            if self.market is not None and self.representation == "compiled":
+            if self.market is not None:
                 self._apply_delta(delta)
             self.placement = {}
             self.rejected = set()
@@ -745,11 +672,6 @@ class DynamicMarketSimulation:
         self.rejected = new_rejected
 
         social = self._social(market, new_placement, new_rejected)
-        if self.representation != "compiled" and market.failed_cloudlets:
-            # The object arm rebuilds its market every epoch but shares
-            # one network: hand the borrowed cloudlets back at nominal
-            # capacity before the next rebuild saves 0.0 as "nominal".
-            market.apply(MarketDelta(recoveries=market.failed_cloudlets))
         return EpochRecord(
             epoch=event.epoch,
             population=len(providers),

@@ -72,10 +72,6 @@ from repro.runtime import (
 T = TypeVar("T")
 R = TypeVar("R")
 
-#: Backward-compatible private alias (this helper predates the runtime).
-_check_picklable = check_picklable
-
-
 def sweep_task_seed(base_seed: int, x_index: int, rep: int, paired: bool = True) -> int:
     """A deterministic, order-independent seed for one sweep task.
 

@@ -29,7 +29,8 @@ incremental engine's move sequence — and its fixed point — **bit for
 bit**: same placements, same move count, same potential trace floats.
 ``tests/game/test_batch_kernel_equivalence.py`` pins this differentially
 against both serial engines across seeds, congestion functions and
-instance representations; ``tests/game/test_batch_kernel_properties.py``
+compiled versus callable-built game tables;
+``tests/game/test_batch_kernel_properties.py``
 fuzzes the per-round invariants and the delta-churn path.
 """
 

@@ -20,8 +20,9 @@ Three engines implement the same dynamics:
   Gauss-Seidel commit). Replays the serial move sequence bit for bit;
   the fastest path at 1000-node / 10^4-provider scale.
 * ``"naive"`` — the reference implementation below: per-resource Python
-  scans and a full Rosenthal-potential recomputation every round. Kept as
-  the differential-testing oracle.
+  scans and a full Rosenthal-potential recomputation every round, the
+  differential-testing oracle of the other two. It is the last reference
+  arm still selectable from ``src/``; the others live in ``tests/oracles/``.
 """
 
 from __future__ import annotations

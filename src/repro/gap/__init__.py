@@ -15,20 +15,19 @@ instances the slots of one cloudlet differ only by a slot charge, so the
 assignment is a transportation problem over the physical cloudlets whose
 sorted slot charges are the ones an optimum fills (no convexity
 precondition); :func:`solve_transport` solves that collapsed form and is
-Appro's default on the compiled representation.
+Appro's default.
 """
 
 from repro.gap.instance import GAPInstance, GAPSolution
-from repro.gap.lp import ASSEMBLIES, solve_lp_relaxation, LPRelaxationResult
+from repro.gap.lp import solve_lp_relaxation, LPRelaxationResult
 from repro.gap.shmoys_tardos import shmoys_tardos
-from repro.gap.greedy import MODES as GREEDY_MODES, greedy_gap
+from repro.gap.greedy import greedy_gap
 from repro.gap.exact import exact_gap
 from repro.gap.assignment import assignment_gap, uniform_weight
 from repro.gap.transport import TransportSolution, solve_transport
 from repro.gap.ladder import DegradationEvent, solve_with_degradation
 
 __all__ = [
-    "ASSEMBLIES",
     "assignment_gap",
     "DegradationEvent",
     "GAPInstance",
@@ -40,7 +39,6 @@ __all__ = [
     "solve_transport",
     "solve_with_degradation",
     "greedy_gap",
-    "GREEDY_MODES",
     "exact_gap",
     "uniform_weight",
 ]

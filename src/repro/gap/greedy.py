@@ -5,74 +5,28 @@ ablation A4. Items are assigned in order of largest *regret* (difference
 between their two cheapest feasible bins): items that are most penalised by
 losing their best bin commit first.
 
-Two implementations of the identical selection rule are provided (mirroring
-the LP assembly split in :mod:`repro.gap.lp`): ``mode="vectorized"``
-evaluates every round's feasibility mask, cheapest/second-cheapest bins and
-regrets as whole-array numpy operations; ``mode="scalar"`` is the original
-per-item Python loop, kept verbatim as the reference the differential tests
-compare against. Both walk items in ascending index order and resolve regret
-ties towards the lowest item (and cost ties towards the lowest bin), so they
-produce the same assignment bin for bin.
+Each round evaluates every unassigned item's feasibility mask, cheapest and
+second-cheapest bins and regret as whole-array numpy operations. Regret ties
+resolve towards the lowest item and cost ties towards the lowest bin, the
+order of a per-item scan (the scalar reference in ``tests/oracles/gap.py``).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError, InfeasibleError
+from repro.exceptions import InfeasibleError
 from repro.gap.instance import GAPInstance, GAPSolution
 from repro.utils.validation import CAPACITY_EPS
 
-#: Valid ``mode`` values, fastest first.
-MODES = ("vectorized", "scalar")
 
-
-def _greedy_scalar(instance: GAPInstance) -> List[int]:
-    """Reference implementation: per-item Python loops over the instance
-    (the pre-compiled pipeline). Returns the assignment list."""
-    remaining_cap = instance.capacities.astype(float).copy()
-    assignment: List[Optional[int]] = [None] * instance.n_items
-    unassigned = set(range(instance.n_items))
-
-    while unassigned:
-        best_item = -1
-        best_bin = -1
-        best_regret = -np.inf
-        for j in unassigned:
-            feasible = [
-                i
-                for i in range(instance.n_bins)
-                if np.isfinite(instance.costs[j, i])
-                and instance.weights[j, i] <= remaining_cap[i] + CAPACITY_EPS
-            ]
-            if not feasible:
-                raise InfeasibleError(f"greedy could not place item {j}")
-            ordered = sorted(feasible, key=lambda i: instance.costs[j, i])
-            cheapest = ordered[0]
-            if len(ordered) > 1:
-                regret = instance.costs[j, ordered[1]] - instance.costs[j, cheapest]
-            else:
-                regret = np.inf  # only one option left: place it now
-            if regret > best_regret:
-                best_regret = regret
-                best_item = j
-                best_bin = cheapest
-
-        assignment[best_item] = best_bin
-        remaining_cap[best_bin] -= instance.weights[best_item, best_bin]
-        unassigned.remove(best_item)
-
-    return [int(a) for a in assignment]
-
-
-def _greedy_vectorized(instance: GAPInstance) -> List[int]:
-    """Array twin of :func:`_greedy_scalar`: each round computes the
-    feasibility mask, the cheapest and second-cheapest feasible bins and the
-    regrets of *all* unassigned items at once. ``np.argmin``/``np.argmax``
-    return the first extremum, which reproduces the scalar loop's ties
-    (lowest bin for equal costs, lowest item for equal regrets) exactly."""
+def _greedy(instance: GAPInstance) -> List[int]:
+    """Each round computes the feasibility mask, the cheapest and
+    second-cheapest feasible bins and the regrets of *all* unassigned items
+    at once. ``np.argmin``/``np.argmax`` return the first extremum: the
+    lowest bin for equal costs, the lowest item for equal regrets."""
     costs = instance.costs
     weights = instance.weights
     n = instance.n_items
@@ -95,8 +49,8 @@ def _greedy_vectorized(instance: GAPInstance) -> List[int]:
         cheapest_cost = masked[rows, cheapest]
         masked[rows, cheapest] = np.inf
         second_cost = masked.min(axis=1)
-        # Same subtraction as the scalar path; items with a single feasible
-        # bin get infinite regret (place them now, they have no fallback).
+        # Items with a single feasible bin get infinite regret (place them
+        # now, they have no fallback).
         regret = np.full(n, np.inf)
         multi = n_feasible > 1
         regret[multi] = second_cost[multi] - cheapest_cost[multi]
@@ -110,22 +64,16 @@ def _greedy_vectorized(instance: GAPInstance) -> List[int]:
     return [int(a) for a in assignment]
 
 
-def greedy_gap(instance: GAPInstance, mode: str = "vectorized") -> GAPSolution:
+def greedy_gap(instance: GAPInstance) -> GAPSolution:
     """Greedy regret assignment; raises :class:`InfeasibleError` when it
     cannot place every item (greedy incompleteness counts as infeasible —
     callers that need certainty should use the LP-based solvers).
-
-    ``mode`` selects the implementation (see the module docstring); both
-    members of :data:`MODES` return the identical assignment.
     """
-    if mode not in MODES:
-        raise ConfigurationError(f"unknown greedy mode {mode!r}; choose from {MODES}")
-    build = _greedy_vectorized if mode == "vectorized" else _greedy_scalar
     return GAPSolution(
         instance=instance,
-        assignment=build(instance),
+        assignment=_greedy(instance),
         method="greedy",
     )
 
 
-__all__ = ["greedy_gap", "MODES"]
+__all__ = ["greedy_gap"]

@@ -110,7 +110,7 @@ class GAPSolution:
     #: Optimal LP value when the method solved a relaxation (lower bound).
     lower_bound: Optional[float] = None
     #: Set when the degradation ladder substituted a cheaper method for
-    #: the requested one (a :class:`repro.gap.ladder.DegradationEvent`);
+    #: the requested one (a :class:`repro.events.DegradationEvent`);
     #: ``None`` for a solution produced as requested.
     degradation: Optional[object] = None
 

@@ -7,8 +7,9 @@ neither. :func:`solve_with_degradation` makes the trade explicit: it runs
 the requested rung with a time budget, steps down one rung on
 :class:`~repro.exceptions.SolverTimeout`, and stamps the substitution on
 the returned :class:`~repro.gap.instance.GAPSolution` as a
-:class:`DegradationEvent` so callers (and their reports) can count and
-surface degraded cells instead of discovering them in the curves.
+:class:`~repro.events.DegradationEvent` so callers (and their reports)
+can count and surface degraded cells instead of discovering them in the
+curves.
 
 Under ``shmoys_tardos`` (LP + rounding, the paper's choice) the ladder
 has two fallback rungs, picked by the instance's shape. A uniform-weight
@@ -22,9 +23,9 @@ effectively bounded running time).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
+from repro.events import DegradationEvent
 from repro.exceptions import SolverTimeout
 from repro.gap.assignment import assignment_gap, uniform_weight
 from repro.gap.greedy import greedy_gap
@@ -32,32 +33,9 @@ from repro.gap.instance import GAPInstance, GAPSolution
 from repro.gap.shmoys_tardos import shmoys_tardos
 
 
-@dataclass(frozen=True)
-class DegradationEvent:
-    """A solver substitution, stamped on the solution that carries it."""
-
-    #: The rung the caller asked for (e.g. ``"shmoys_tardos"``).
-    requested: str
-    #: The rung that actually produced the solution (``"assignment"`` or
-    #: ``"greedy"``).
-    used: str
-    #: Why the ladder stepped down (e.g. ``"timeout"``).
-    reason: str
-    #: Human-readable detail (the triggering error message).
-    detail: str = ""
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"DegradationEvent({self.requested} -> {self.used}: "
-            f"{self.reason})"
-        )
-
-
 def solve_with_degradation(
     instance: GAPInstance,
     time_limit_s: Optional[float] = None,
-    assemble: str = "vectorized",
-    greedy_mode: str = "vectorized",
 ) -> GAPSolution:
     """Solve with Shmoys–Tardos under a time budget, degrading on timeout.
 
@@ -73,14 +51,12 @@ def solve_with_degradation(
     only dress that up.
     """
     try:
-        return shmoys_tardos(
-            instance, assemble=assemble, time_limit_s=time_limit_s
-        )
+        return shmoys_tardos(instance, time_limit_s=time_limit_s)
     except SolverTimeout as exc:
         if uniform_weight(instance) is not None:
             solution = assignment_gap(instance)
         else:
-            solution = greedy_gap(instance, mode=greedy_mode)
+            solution = greedy_gap(instance)
         return GAPSolution(
             instance=solution.instance,
             assignment=solution.assignment,

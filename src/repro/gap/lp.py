@@ -14,7 +14,7 @@ reduction, but the library is generic).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
@@ -27,15 +27,6 @@ from repro.exceptions import (
     SolverTimeout,
 )
 from repro.gap.instance import GAPInstance
-
-#: The two LP assembly paths. ``"vectorized"`` builds the constraint
-#: matrices from the instance's arrays in bulk; ``"scalar"`` is the
-#: per-pair reference loop it replaced. Both enumerate the allowed (item,
-#: bin) pairs in the same row-major order and hand :func:`linprog` the
-#: same matrices, so they return bit-identical relaxations — the
-#: differential tests pin that.
-ASSEMBLIES = ("vectorized", "scalar")
-
 
 @dataclass
 class LPRelaxationResult:
@@ -52,52 +43,17 @@ class LPRelaxationResult:
         return [i for i in range(self.instance.n_bins) if self.fractions[item, i] > atol]
 
 
-def _assemble_scalar(
-    instance: GAPInstance,
-) -> Tuple[np.ndarray, np.ndarray, csr_matrix, csr_matrix, np.ndarray, np.ndarray]:
-    """Reference per-pair assembly (kept as the differential oracle)."""
-    if instance.trivially_infeasible():
-        raise InfeasibleError("some item has no admissible bin")
-
-    pairs: List[Tuple[int, int]] = [
-        (j, i)
-        for j in range(instance.n_items)
-        for i in range(instance.n_bins)
-        if instance.allowed(j, i)
-    ]
-    col_of: Dict[Tuple[int, int], int] = {p: k for k, p in enumerate(pairs)}
-    n_cols = len(pairs)
-
-    c = np.array([instance.costs[j, i] for j, i in pairs])
-
-    # Equality: one row per item.
-    eq_rows, eq_cols, eq_data = [], [], []
-    for (j, i), k in col_of.items():
-        eq_rows.append(j)
-        eq_cols.append(k)
-        eq_data.append(1.0)
-    a_eq = csr_matrix((eq_data, (eq_rows, eq_cols)), shape=(instance.n_items, n_cols))
-
-    # Inequality: one row per bin.
-    ub_rows, ub_cols, ub_data = [], [], []
-    for (j, i), k in col_of.items():
-        ub_rows.append(i)
-        ub_cols.append(k)
-        ub_data.append(instance.weights[j, i])
-    a_ub = csr_matrix((ub_data, (ub_rows, ub_cols)), shape=(instance.n_bins, n_cols))
-
-    rows = np.fromiter((j for j, _ in pairs), dtype=np.int64, count=n_cols)
-    cols = np.fromiter((i for _, i in pairs), dtype=np.int64, count=n_cols)
-    return rows, cols, a_eq, a_ub, c, np.ones(instance.n_items)
+#: An assembled LP: ``(rows, cols, A_eq, A_ub, c, b_eq)``, one column per
+#: allowed (item, bin) pair in row-major order (``rows``/``cols`` map each
+#: column back to its pair).
+_Assembly = Tuple[np.ndarray, np.ndarray, csr_matrix, csr_matrix, np.ndarray, np.ndarray]
 
 
-def _assemble_vectorized(
-    instance: GAPInstance,
-) -> Tuple[np.ndarray, np.ndarray, csr_matrix, csr_matrix, np.ndarray, np.ndarray]:
-    """Bulk assembly from the instance arrays (same matrices, no loops).
+def _assemble(instance: GAPInstance) -> _Assembly:
+    """Bulk assembly from the instance arrays.
 
-    ``np.nonzero`` walks the allowed-mask in row-major order — the exact
-    pair enumeration of the scalar path — so columns line up one-to-one.
+    ``np.nonzero`` walks the allowed-mask in row-major order, so column
+    ``k`` is the ``k``-th allowed pair of a per-pair scan.
     """
     mask = instance.allowed_mask()
     if not bool(mask.any(axis=1).all()):
@@ -120,29 +76,28 @@ def _assemble_vectorized(
 
 def solve_lp_relaxation(
     instance: GAPInstance,
-    assemble: str = "vectorized",
     time_limit_s: Optional[float] = None,
 ) -> LPRelaxationResult:
     """Solve the GAP LP relaxation; raises :class:`InfeasibleError` when the
     relaxation (hence the GAP) has no solution.
 
-    ``assemble`` picks the constraint-construction path (see
-    :data:`ASSEMBLIES`); the solved relaxation is bit-identical either way.
-
     ``time_limit_s`` bounds the HiGHS solve; exceeding it raises
     :class:`~repro.exceptions.SolverTimeout` (the degradation ladder in
     :mod:`repro.gap.ladder` catches this and falls back to greedy).
     """
-    if assemble not in ASSEMBLIES:
-        raise ConfigurationError(
-            f"unknown assemble {assemble!r}; choose from {ASSEMBLIES}"
-        )
     if time_limit_s is not None and time_limit_s <= 0:
         raise ConfigurationError(
             f"time_limit_s must be positive, got {time_limit_s}"
         )
-    builder = _assemble_vectorized if assemble == "vectorized" else _assemble_scalar
-    rows, cols, a_eq, a_ub, c, b_eq = builder(instance)
+    return _solve_assembled(instance, _assemble(instance), time_limit_s)
+
+
+def _solve_assembled(
+    instance: GAPInstance, assembly: _Assembly, time_limit_s: Optional[float] = None
+) -> LPRelaxationResult:
+    """Hand an assembled LP to HiGHS and map the optimum back onto the
+    ``(n_items, n_bins)`` grid."""
+    rows, cols, a_eq, a_ub, c, b_eq = assembly
     b_ub = instance.capacities
 
     options = {} if time_limit_s is None else {"time_limit": float(time_limit_s)}
@@ -178,4 +133,4 @@ def solve_lp_relaxation(
     )
 
 
-__all__ = ["ASSEMBLIES", "LPRelaxationResult", "solve_lp_relaxation"]
+__all__ = ["LPRelaxationResult", "solve_lp_relaxation"]

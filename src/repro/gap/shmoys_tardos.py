@@ -80,14 +80,9 @@ def _build_slots(
 
 def shmoys_tardos(
     instance: GAPInstance,
-    assemble: str = "vectorized",
     time_limit_s: Optional[float] = None,
 ) -> GAPSolution:
     """Round the GAP LP optimum to an integral assignment (see module doc).
-
-    ``assemble`` selects the LP constraint-assembly path (see
-    :data:`repro.gap.lp.ASSEMBLIES`); the relaxation — and therefore the
-    rounding — is bit-identical either way.
 
     ``time_limit_s`` bounds the LP solve; exceeding it raises
     :class:`~repro.exceptions.SolverTimeout` (callers wanting a fallback
@@ -97,9 +92,13 @@ def shmoys_tardos(
     is infeasible and :class:`SolverError` if the matching step fails (which
     would indicate a bug — the fractional matching guarantees existence).
     """
-    relaxation = solve_lp_relaxation(
-        instance, assemble=assemble, time_limit_s=time_limit_s
-    )
+    return _round(solve_lp_relaxation(instance, time_limit_s=time_limit_s))
+
+
+def _round(relaxation: LPRelaxationResult) -> GAPSolution:
+    """The rounding proper: slot the LP optimum's fractions and match items
+    to slots at minimum cost."""
+    instance = relaxation.instance
     slots = _build_slots(relaxation)
 
     graph = nx.Graph()

@@ -12,10 +12,10 @@ fixed costs, and the game engine compiled its own private tables.
 :class:`CompiledMarket` is the one structure-of-arrays all of them share.
 It is built exactly once per market (``ServiceMarket.compile()`` caches it
 on the instance) by evaluating the cost model's own methods, so every table
-entry is **bit-equal** to the object-graph evaluation it replaces — the
-compiled and object paths must agree on placements and social costs
-exactly, which ``tests/integration/test_compiled_equivalence.py`` pins
-differentially.
+entry is **bit-equal** to the object-graph evaluation it replaces: every
+algorithm must agree on placements and social costs exactly with its
+object-graph reference implementation in ``tests/oracles/``, which
+``tests/integration/test_compiled_equivalence.py`` pins differentially.
 
 It is also a *live* structure: when the market changes — providers arrive
 or depart, capacities or congestion prices move — a
@@ -64,13 +64,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (market imports us)
 #: Tombstoned rows tolerated before :meth:`CompiledMarket.compact` fires
 #: (beyond one full active population's worth).
 COMPACTION_SLACK = 16
-
-#: Instance representations an algorithm can run on: ``"compiled"`` (the
-#: array-backed :class:`CompiledMarket`, the default) or ``"object"`` (the
-#: reference object-graph path, kept as the differential-testing oracle —
-#: the same role the ``"naive"`` engine plays for best-response dynamics).
-REPRESENTATIONS = ("compiled", "object")
-
 
 class _ProviderRow(NamedTuple):
     """One provider's worth of compiled table entries."""
@@ -741,29 +734,4 @@ class CompiledMarket:
         )
 
 
-def resolve_compiled(
-    market: "ServiceMarket",
-    representation: str = "compiled",
-    compiled: Optional[CompiledMarket] = None,
-) -> Optional[CompiledMarket]:
-    """Normalise an algorithm's ``(representation, compiled)`` arguments.
-
-    Returns the :class:`CompiledMarket` to run on (compiling on demand and
-    caching on the market instance), or ``None`` for the object-graph
-    reference path. Passing an explicit blob with ``representation="object"``
-    is contradictory and rejected.
-    """
-    if representation not in REPRESENTATIONS:
-        raise ConfigurationError(
-            f"unknown representation {representation!r}; choose from {REPRESENTATIONS}"
-        )
-    if representation == "object":
-        if compiled is not None:
-            raise ConfigurationError(
-                "representation='object' cannot take a precompiled market"
-            )
-        return None
-    return compiled if compiled is not None else market.compile()
-
-
-__all__ = ["COMPACTION_SLACK", "REPRESENTATIONS", "CompiledMarket", "resolve_compiled"]
+__all__ = ["COMPACTION_SLACK", "CompiledMarket"]

@@ -19,19 +19,13 @@ replans.  Four pieces, composed rather than welded:
 * :mod:`repro.runtime.executor` — the single public :class:`Runtime`
   facade consumers hold.
 
-``repro.experiments.supervisor`` re-exports the old names with a
-``DeprecationWarning``; new code imports from here.  See
-``docs/runtime.md`` for the architecture and the transport seam.
+See ``docs/runtime.md`` for the architecture and the transport seam.
 """
 
 from repro.runtime.executor import BlobMap, Runtime
 from repro.runtime.journal import CheckpointJournal, TaskKey
-from repro.runtime.remote import (
-    DegradationEvent,
-    HostAgentStats,
-    RemoteTransport,
-    run_host_agent,
-)
+from repro.events import DegradationEvent
+from repro.runtime.remote import HostAgentStats, RemoteTransport, run_host_agent
 from repro.runtime.supervisor import (
     RetryPolicy,
     TaskFailure,

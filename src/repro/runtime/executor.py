@@ -21,8 +21,7 @@ Sweep grids (:mod:`repro.experiments.parallel`), shard interior settles
 
 :meth:`Runtime.run` is the supervised entry point; :meth:`Runtime.map`
 is the thin ordered fast path (no retries, deterministic in-process
-fallback on worker death) that the shard settle loop uses where the old
-``ShardExecutor.run`` sat.  Both are bit-identical to serial execution
+fallback on worker death) that the shard settle loop uses.  Both are bit-identical to serial execution
 for pure task functions — the property every equivalence test in
 ``tests/runtime`` pins.
 """

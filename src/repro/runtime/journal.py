@@ -1,11 +1,10 @@
 """Durable checkpoint journaling for supervised task grids.
 
-:class:`CheckpointJournal` moved here from
-``repro.experiments.supervisor``: the on-disk format is an append-only
-JSONL file, one ``{"key": [...], "value": <payload>}`` line per
-completed cell, flushed and fsynced as it is written. Journals written
-before the move replay bit-identically through this module — the format
-is a compatibility contract, not an implementation detail
+:class:`CheckpointJournal`'s on-disk format is an append-only JSONL
+file, one ``{"key": [...], "value": <payload>}`` line per completed
+cell, flushed and fsynced as it is written. Journals written by earlier
+versions replay bit-identically through this module — the format is a
+compatibility contract, not an implementation detail
 (``tests/runtime`` pins it, and :class:`~repro.market.shard.ShardLog`
 rides the same file format for its replication log).
 

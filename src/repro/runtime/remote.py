@@ -45,7 +45,7 @@ The robustness core is the failure machinery, not the happy path:
   past ``claim_timeout_s`` with no live hosts), the transport degrades
   to a local :class:`~repro.runtime.transport.PoolTransport` — pending
   unclaimed work is re-dispatched, and the switch is recorded as a
-  structured :class:`DegradationEvent` (mirroring the GAP ladder's)
+  structured :class:`~repro.events.DegradationEvent` (the GAP ladder's type)
   in :attr:`RemoteTransport.degradation_events`.  ``degrade="fail"``
   turns the floor into a hard error instead.
 
@@ -81,6 +81,7 @@ from typing import (
     Union,
 )
 
+from repro.events import DegradationEvent
 from repro.exceptions import ConfigurationError
 from repro.runtime.transport import (
     HostLost,
@@ -154,21 +155,6 @@ def _picklable_error(exc: BaseException) -> BaseException:
     except Exception:  # reprolint: ok[R7] pickling probe — any __reduce__ error means "unpicklable", answered by the stand-in
         stand_in = RuntimeError(f"{type(exc).__name__}: {exc}")
         return stand_in
-
-
-@dataclass(frozen=True)
-class DegradationEvent:
-    """A structured record of one degradation decision, mirroring the
-    GAP ladder's event shape (`repro.gap.ladder.DegradationEvent`)."""
-
-    #: The substrate the caller asked for (``"remote"``).
-    requested: str
-    #: The substrate actually used from this point (``"pool"``).
-    used: str
-    #: Machine-readable cause: ``"host-floor"`` or ``"unclaimed-timeout"``.
-    reason: str
-    #: Human-readable specifics (live host count, floor, timeout).
-    detail: str = ""
 
 
 @dataclass
@@ -945,7 +931,6 @@ def _remove_quiet(path: str) -> None:
 
 
 __all__ = [
-    "DegradationEvent",
     "HostAgentStats",
     "RemoteTransport",
     "run_host_agent",

@@ -152,9 +152,8 @@ class BlobRef:
     """A picklable handle to one published blob.
 
     ``token`` uniquely identifies the publication (for spilled blobs it
-    is the spill path, keeping refs interchangeable with the legacy
-    string tokens :func:`fetch_blob` still accepts).  Exactly one of
-    ``data`` (inline pickle bytes) and ``path`` (spill file) is set.
+    is the spill path).  Exactly one of ``data`` (inline pickle bytes)
+    and ``path`` (spill file) is set.
     """
 
     token: str
@@ -163,10 +162,9 @@ class BlobRef:
     #: Pickled payload size in bytes (spilled or inline).
     size: int = 0
     #: Hex SHA-256 of the pickled payload.  ``None`` for refs published
-    #: before checksums existed (and legacy string tokens); set, it is
-    #: verified by :func:`fetch_blob` before unpickling, so a torn or
-    #: bit-rotted blob on a shared filesystem fails loudly instead of
-    #: deserialising garbage.
+    #: before checksums existed; set, it is verified by :func:`fetch_blob`
+    #: before unpickling, so a torn or bit-rotted blob on a shared
+    #: filesystem fails loudly instead of deserialising garbage.
     checksum: Optional[str] = None
 
 
@@ -178,26 +176,23 @@ _BLOB_CACHE_ORDER: List[str] = []
 _BLOB_CACHE_LIMIT = 8
 
 
-def fetch_blob(ref: Union[str, BlobRef]) -> object:
+def fetch_blob(ref: BlobRef) -> object:
     """Resolve a published blob, memoized per process.
 
-    Accepts a :class:`BlobRef` or a legacy string token (the spill-file
-    path the pre-:mod:`repro.runtime` ``ShardExecutor.publish`` returned).
     The first fetch in a process unpickles the payload; later fetches of
     the same token are dictionary hits.
     """
-    token = ref if isinstance(ref, str) else ref.token
+    token = ref.token
     if token in _BLOB_CACHE:
         return _BLOB_CACHE[token]
-    if isinstance(ref, BlobRef) and ref.data is not None:
+    if ref.data is not None:
         payload = ref.data
     else:
-        path = ref if isinstance(ref, str) else ref.path
-        if path is None:  # pragma: no cover - BlobRef invariant
+        if ref.path is None:  # pragma: no cover - BlobRef invariant
             raise ConfigurationError(f"blob {token!r} has neither data nor path")
-        with open(path, "rb") as fh:
+        with open(ref.path, "rb") as fh:
             payload = fh.read()
-    if isinstance(ref, BlobRef) and ref.checksum is not None:
+    if ref.checksum is not None:
         digest = sha256(payload).hexdigest()
         if digest != ref.checksum:
             raise ConfigurationError(

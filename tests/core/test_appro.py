@@ -125,7 +125,7 @@ class TestLPTimeLimit:
         assert result.algorithm == "Appro[shmoys_tardos]"
 
     def test_timeout_degrades_to_the_exact_solver(self, small_market, monkeypatch):
-        def timeout(instance, assemble="vectorized", time_limit_s=None):
+        def timeout(instance, time_limit_s=None):
             raise SolverTimeout("forced")
 
         st_module = importlib.import_module("repro.gap.shmoys_tardos")

@@ -1,7 +1,8 @@
 """Capacity-tolerance regressions (the shared ``CAPACITY_EPS`` slack).
 
 Feasibility checks across the codebase (game moves, greedy seeding,
-Appro's ``_fits``/``_repair_capacities``, assignment validation) all share
+Appro's ``_repair_capacities`` and its object-graph oracle's
+``object_fits``, assignment validation) all share
 :data:`repro.utils.validation.CAPACITY_EPS`. The key regression: a demand
 that *exactly* fills the residual capacity must be accepted even when
 float accumulation pushes the sum a few ulps over (0.1 + 0.1 + 0.1 >
@@ -11,13 +12,15 @@ float accumulation pushes the sum a few ulps over (0.1 + 0.1 + 0.1 >
 import numpy as np
 import pytest
 
-from repro.core.appro import _fits, _loads, _repair_capacities, appro
+from repro.core.appro import _repair_capacities, appro
 from repro.exceptions import InfeasibleError
 from repro.game.best_response import greedy_feasible_profile
 from repro.game.congestion import SingletonCongestionGame
 from repro.market.workload import generate_market
 from repro.network.generators import random_mec_network
 from repro.utils.validation import CAPACITY_EPS
+
+from tests.oracles.appro import object_fits, object_loads
 
 
 def exact_fit_game(n_players=3, per_demand=0.1):
@@ -76,6 +79,15 @@ class TestExactCapacityFit:
         assert CAPACITY_EPS == 1e-9
 
 
+def compiled_fits(market, node, load, pid):
+    """The repair's own test: ``CompiledMarket.fits_mask`` at one cloudlet."""
+    cm = market.compile()
+    loads = np.zeros((cm.n_cloudlets, 2))
+    col = cm.cloudlet_index[node]
+    loads[col] = load
+    return bool(cm.fits_mask(cm.provider_index[pid], loads)[col])
+
+
 class TestApproFits:
     @pytest.fixture(scope="class")
     def market(self):
@@ -91,21 +103,25 @@ class TestApproFits:
             cl.compute_capacity - p.compute_demand,
             cl.bandwidth_capacity - p.bandwidth_demand,
         ]
-        assert _fits(market, cl.node_id, load, pid)
+        assert object_fits(market, cl.node_id, load, pid)
+        assert compiled_fits(market, cl.node_id, load, pid)
 
     def test_fits_rejects_true_overflow(self, market):
         cl = market.network.cloudlets[0]
         pid = market.providers[0].provider_id
         load = [cl.compute_capacity, cl.bandwidth_capacity]
-        assert not _fits(market, cl.node_id, load, pid)
+        assert not object_fits(market, cl.node_id, load, pid)
+        assert not compiled_fits(market, cl.node_id, load, pid)
 
     def test_repair_restores_feasibility(self, market):
         # Pile every provider onto one cloudlet: heavily overloaded.
         node = market.network.cloudlets[0].node_id
         placement = {p.provider_id: node for p in market.providers}
         original = set(placement)
-        repaired, rejected, moves = _repair_capacities(market, dict(placement))
-        loads = _loads(market, repaired)
+        repaired, rejected, moves = _repair_capacities(
+            market, dict(placement), market.compile()
+        )
+        loads = object_loads(market, repaired)
         for cl in market.network.cloudlets:
             load = loads[cl.node_id]
             assert load[0] <= cl.compute_capacity + CAPACITY_EPS
@@ -119,7 +135,7 @@ class TestApproFits:
         network = random_mec_network(40, rng=seed)
         market = generate_market(network, 20, rng=seed + 50)
         assignment = appro(market, allow_remote=True)
-        loads = _loads(
+        loads = object_loads(
             market,
             {
                 pid: node

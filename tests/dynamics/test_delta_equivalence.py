@@ -6,9 +6,9 @@ Three contracts, in increasing scope:
    delta-patched :class:`CompiledMarket` inside the simulation is per-entry
    identical to a fresh ``CompiledMarket.from_market`` of the same market.
 2. **Arm equivalence** — for every policy and warm-start setting, the
-   ``compiled`` simulation (persistent delta-patched market, this PR) bills
-   bit-identical epoch records to the ``object`` simulation (market rebuilt
-   from scratch every epoch, the pre-refactor reference).
+   simulation (persistent delta-patched market) bills bit-identical epoch
+   records to :class:`~tests.oracles.dynamics.ObjectRebuildSimulation`
+   (market rebuilt from scratch every epoch, the reference).
 3. **Churn edge cases**, run invariant-armed (``REPRO_DEBUG_INVARIANTS=1``
    makes every ``apply_delta`` self-verify against the object graph).
 """
@@ -27,6 +27,7 @@ from repro.market.workload import generate_market
 from repro.network.generators import random_mec_network
 
 from tests.dynamics.conftest import ScriptedPopulation, draw_providers
+from tests.oracles.dynamics import ObjectRebuildSimulation
 
 POLICIES = ("replan", "incremental", "hysteresis")
 
@@ -37,8 +38,8 @@ def make_population(network, seed, **kwargs):
     return PopulationProcess(network, rng=seed, **defaults)
 
 
-def make_sim(network, seed, **kwargs):
-    return DynamicMarketSimulation(
+def make_sim(network, seed, simulation=DynamicMarketSimulation, **kwargs):
+    return simulation(
         network,
         make_population(network, seed),
         gap_solver="greedy",
@@ -92,12 +93,11 @@ class TestArmEquivalence:
     def test_compiled_matches_object_rebuild(self, policy, warm):
         network = random_mec_network(40, rng=41)
         compiled_sim = make_sim(
-            network, seed=42, policy=policy,
-            representation="compiled", warm_start=warm,
+            network, seed=42, policy=policy, warm_start=warm,
         )
         object_sim = make_sim(
-            network, seed=42, policy=policy,
-            representation="object", warm_start=warm,
+            network, seed=42, simulation=ObjectRebuildSimulation,
+            policy=policy, warm_start=warm,
         )
         a = compiled_sim.run(20)
         b = object_sim.run(20)

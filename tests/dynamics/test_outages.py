@@ -33,6 +33,8 @@ from repro.market.delta import MarketDelta
 from repro.market.workload import generate_market
 from repro.network.generators import random_mec_network
 
+from tests.oracles.dynamics import ObjectRebuildSimulation
+
 RECOVERY_POLICIES = ("failover", "replan", "hysteresis")
 
 
@@ -186,7 +188,7 @@ class TestOutageDelta:
 # --------------------------------------------------------------------- #
 # 3. The acceptance pin: compiled/warm == object oracle under outages
 # --------------------------------------------------------------------- #
-def outage_sim(seed, representation, recovery, policy="incremental", epochs_hint=100):
+def outage_sim(seed, simulation, recovery, policy="incremental", epochs_hint=100):
     """One arm: its own network, population, and trace, all seeded alike."""
     network = outage_network(seed=71)
     population = PopulationProcess(
@@ -197,12 +199,11 @@ def outage_sim(seed, representation, recovery, policy="incremental", epochs_hint
         rng=seed,
     )
     trace = IndependentOutageTrace(network, mttf=7.0, mttr=3.0, rng=seed + 1)
-    return DynamicMarketSimulation(
+    return simulation(
         network,
         population,
         policy=policy,
         gap_solver="greedy",
-        representation=representation,
         warm_start=True,
         outages=trace,
         recovery=recovery,
@@ -212,8 +213,8 @@ def outage_sim(seed, representation, recovery, policy="incremental", epochs_hint
 class TestOutageArmEquivalence:
     @pytest.mark.parametrize("recovery", RECOVERY_POLICIES)
     def test_hundred_epoch_compiled_matches_object(self, recovery):
-        compiled_sim = outage_sim(42, "compiled", recovery)
-        object_sim = outage_sim(42, "object", recovery)
+        compiled_sim = outage_sim(42, DynamicMarketSimulation, recovery)
+        object_sim = outage_sim(42, ObjectRebuildSimulation, recovery)
         a = compiled_sim.run(100)
         b = object_sim.run(100)
         assert a.recovery_epochs == b.recovery_epochs
@@ -225,7 +226,7 @@ class TestOutageArmEquivalence:
         # Invariant-armed: every apply_delta self-verifies the patched
         # compiled tables against the object graph, outages included.
         monkeypatch.setenv("REPRO_DEBUG_INVARIANTS", "1")
-        sim = outage_sim(13, "compiled", "failover")
+        sim = outage_sim(13, DynamicMarketSimulation, "failover")
         summary = sim.run(25)
         assert summary.cloudlet_downtime > 0
 

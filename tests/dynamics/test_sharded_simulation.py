@@ -32,10 +32,6 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             make_sim(network, sharding="hash")
 
-    def test_object_representation_rejected(self, network):
-        with pytest.raises(ConfigurationError):
-            make_sim(network, sharding="region", representation="object")
-
     def test_boundary_rounds_floor(self, network):
         with pytest.raises(ConfigurationError):
             make_sim(network, sharding="region", boundary_rounds=0)

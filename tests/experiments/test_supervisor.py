@@ -19,14 +19,14 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.experiments.harness import sweep
-from repro.experiments.supervisor import (
+from repro.market.workload import generate_market
+from repro.network.generators import random_mec_network
+from repro.runtime import (
     CheckpointJournal,
     RetryPolicy,
     TaskFailure,
     supervised_map,
 )
-from repro.market.workload import generate_market
-from repro.network.generators import random_mec_network
 
 
 # --------------------------------------------------------------------- #

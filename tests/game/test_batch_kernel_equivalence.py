@@ -9,7 +9,8 @@ operand pairs through the same compiled tables in the same order.
 
 The matrix here covers that claim against both oracles across 3 seeds x 3
 congestion functions (linear, quadratic, M/M/1) x 2 representations
-(compiled tables vs the object-graph cost callables), on synthetic games
+(compiled tables vs the object-graph cost callables of
+``tests/oracles/lcf.py``), on synthetic games
 and on full service markets, through ``best_response_dynamics`` directly
 and through the whole ``lcf`` pipeline. The sparse and dense commit paths
 of the kernel are both exercised (the dense path needs
@@ -31,6 +32,7 @@ from repro.network.generators import random_mec_network
 from repro.utils.rng import as_rng
 
 from tests.game.test_engine_equivalence import random_game
+from tests.oracles.lcf import callable_game, object_lcf
 
 SEEDS = (131, 257, 509)
 
@@ -40,7 +42,11 @@ CONGESTIONS = {
     "mm1": MM1Congestion,
 }
 
-REPRESENTATIONS = ("compiled", "object")
+#: Representation -> (game builder, LCF pipeline).
+REPRESENTATIONS = {
+    "compiled": (market_game, lcf),
+    "object": (callable_game, object_lcf),
+}
 
 
 def assert_bit_identical(batch, incremental):
@@ -188,7 +194,8 @@ class TestMarketMatrix:
             network, n_providers=16, rng=seed + 1000,
             congestion=CONGESTIONS[congestion](),
         )
-        game = market_game(market, use_compiled=representation == "compiled")
+        build_game, _ = REPRESENTATIONS[representation]
+        game = build_game(market)
         start = greedy_feasible_profile(game)
         results = run_three_engines(game, start)
         batch, incr = results["batch"], results["incremental"]
@@ -209,11 +216,11 @@ class TestMarketMatrix:
     def test_lcf_pipeline_bit_equal(self, seed, representation):
         network = random_mec_network(36, rng=seed)
         market = generate_market(network, n_providers=14, rng=seed + 2000)
+        _, run = REPRESENTATIONS[representation]
         runs = {
-            engine: lcf(
+            engine: run(
                 market, xi=0.5, allow_remote=True, information="full",
-                engine=engine, representation=representation,
-                gap_solver="greedy",
+                engine=engine, gap_solver="greedy",
             )
             for engine in ("naive", "incremental", "batch")
         }

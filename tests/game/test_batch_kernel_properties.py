@@ -14,7 +14,8 @@ Three layers of lockdown on :mod:`repro.game.batch`:
 3. **Churn fuzz** — a 50-epoch :class:`~repro.market.delta.MarketDelta`
    churn trace (arrivals, departures, capacity shocks) replanned warm with
    the batch kernel stays pinned, epoch by epoch, to the object-graph
-   oracle (the incremental engine on the object representation).
+   oracle (the incremental engine inside ``tests/oracles/lcf.py``'s
+   :func:`object_lcf`).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from repro.utils.validation import CAPACITY_EPS
 
 from tests.dynamics.conftest import draw_providers
 from tests.game.test_engine_equivalence import random_game
+from tests.oracles.lcf import object_lcf
 
 _CONGESTIONS = (LinearCongestion, QuadraticCongestion, MM1Congestion)
 
@@ -241,13 +243,11 @@ class TestChurnFuzz:
                 continue
             batch = lcf(
                 market, xi=0.5, allow_remote=True, information="full",
-                engine="batch", representation="compiled",
-                gap_solver="greedy", warm_start=batch_prior,
+                engine="batch", gap_solver="greedy", warm_start=batch_prior,
             )
-            oracle = lcf(
+            oracle = object_lcf(
                 market, xi=0.5, allow_remote=True, information="full",
-                engine="incremental", representation="object",
-                gap_solver="greedy", warm_start=oracle_prior,
+                engine="incremental", gap_solver="greedy", warm_start=oracle_prior,
             )
             assert batch.assignment.placement == oracle.assignment.placement, (
                 f"epoch {epoch}: batch/compiled diverged from the object oracle"

@@ -11,12 +11,16 @@ import math
 import numpy as np
 import pytest
 
+import repro.gap
+import repro.runtime
 from repro.exceptions import InfeasibleError, SolverTimeout
 from repro.gap.assignment import assignment_gap
 from repro.gap.greedy import greedy_gap
 from repro.gap.instance import GAPInstance
 from repro.gap.ladder import DegradationEvent, solve_with_degradation
 from repro.utils.rng import as_rng
+
+from tests.oracles.gap import greedy_scalar
 
 #: The module, not the same-named function ``repro.gap`` re-exports.
 st_module = importlib.import_module("repro.gap.shmoys_tardos")
@@ -41,7 +45,7 @@ def general_instance(seed, n_items=6, n_bins=3):
 
 @pytest.fixture
 def lp_times_out(monkeypatch):
-    def timeout(instance, assemble="vectorized", time_limit_s=None):
+    def timeout(instance, time_limit_s=None):
         raise SolverTimeout(f"GAP LP relaxation exceeded its {time_limit_s}s budget")
 
     monkeypatch.setattr(st_module, "solve_lp_relaxation", timeout)
@@ -53,6 +57,8 @@ class TestTimeoutFallback:
         sol = solve_with_degradation(inst, time_limit_s=0.5)
         event = sol.degradation
         assert isinstance(event, DegradationEvent)
+        # One event type for the GAP ladder and the remote transport.
+        assert repro.gap.DegradationEvent is repro.runtime.DegradationEvent
         assert event.requested == "shmoys_tardos"
         assert event.used == "assignment"
         assert event.reason == "timeout"
@@ -65,13 +71,13 @@ class TestTimeoutFallback:
 
     def test_general_weights_fall_back_to_greedy(self, lp_times_out):
         inst = general_instance(2)
-        sol = solve_with_degradation(inst, time_limit_s=0.5, greedy_mode="scalar")
+        sol = solve_with_degradation(inst, time_limit_s=0.5)
         assert sol.degradation.used == "greedy"
         assert sol.degradation.requested == "shmoys_tardos"
         assert sol.degradation.reason == "timeout"
         assert sol.method == "greedy"
         assert sol.lower_bound is None
-        assert sol.assignment == greedy_gap(inst, mode="scalar").assignment
+        assert sol.assignment == greedy_gap(inst).assignment == greedy_scalar(inst)
 
     def test_infeasible_fallback_still_raises(self, lp_times_out):
         # Three items, two one-item bins: no rung can place everyone.

@@ -27,6 +27,8 @@ from repro.market.workload import generate_market
 from repro.network.generators import random_mec_network
 from repro.utils.rng import as_rng
 
+from tests.oracles.appro import object_appro, object_slot_charge
+
 RTOL = 1e-9
 
 COMMON = dict(
@@ -176,8 +178,8 @@ class TestApproTransport:
         split = VirtualCloudletSplit(market, allow_remote=allow_remote)
         charges = split._slot_charges(market.compile())
         assert np.any(np.diff(charges) < 0.0)  # unsorted: saturation is in play
-        c = appro(market, allow_remote=allow_remote, representation="compiled")
-        o = appro(market, allow_remote=allow_remote, representation="object")
+        c = appro(market, allow_remote=allow_remote)
+        o = object_appro(market, allow_remote=allow_remote)
         assert c.placement == o.placement
         assert c.rejected == o.rejected
         assert c.info["gap_cost"] == o.info["gap_cost"]
@@ -201,7 +203,7 @@ class TestApproTransport:
         assert max(split.n_i.values()) > 3
         for node, got in zip(cm.cloudlet_nodes, charges):
             cloudlet = market.network.cloudlet_at(node)
-            every = [split._object_slot_charge(cloudlet, k) for k in range(1, split.n_i[node] + 1)]
+            every = [object_slot_charge(split, cloudlet, k) for k in range(1, split.n_i[node] + 1)]
             assert got.tolist() == sorted(every)[:3]
 
     def test_default_path_builds_no_slot_list(self, small_market, monkeypatch):
@@ -215,4 +217,4 @@ class TestApproTransport:
         result = appro(small_market)
         assert result.info["virtual_cloudlets"] == n_virtual
         with pytest.raises(AssertionError, match="per-slot list"):
-            appro(small_market, representation="object")
+            object_appro(small_market)

@@ -1,12 +1,12 @@
-"""Differential tests: compiled-representation paths against the object graph.
+"""Differential tests: the compiled production paths against the object graph.
 
 The :class:`~repro.market.compiled.CompiledMarket` layer is only allowed to
 change *how fast* algorithms evaluate the instance, never *what* they
 decide. For Appro (GAP build + capacity repair), LCF, both baselines, the
 PoA social-cost path and the sweep harness's precompiled dispatch, these
-tests pin ``representation="compiled"`` to ``representation="object"`` on
-randomized markets: identical placements, identical rejection sets, and
-bit-equal social costs.
+tests pin the production functions to their object-graph references in
+``tests/oracles/`` on randomized markets: identical placements, identical
+rejection sets, and bit-equal social costs.
 """
 
 from __future__ import annotations
@@ -25,6 +25,11 @@ from repro.game.poa import worst_equilibrium_cost
 from repro.market.costs import LinearCongestion, MM1Congestion, QuadraticCongestion
 from repro.market.workload import generate_market
 from repro.network.generators import random_mec_network
+
+from tests.oracles.appro import object_appro, object_gap_instance
+from tests.oracles.baselines import object_jo_offload_cache, object_offload_cache
+from tests.oracles.gap import scalar_greedy_gap, scalar_lp_relaxation
+from tests.oracles.lcf import callable_game, object_lcf
 
 METRIC_FIELDS = ("social_cost", "coordinated_cost", "selfish_cost", "rejected", "samples")
 
@@ -64,8 +69,8 @@ class TestApproEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_placements_and_costs_match(self, gap_solver, seed):
         market = make_market(40 + seed)
-        c = appro(market, gap_solver=gap_solver, representation="compiled")
-        o = appro(market, gap_solver=gap_solver, representation="object")
+        c = appro(market, gap_solver=gap_solver)
+        o = object_appro(market, gap_solver=gap_solver)
         assert_same_assignment(market, c, o)
         assert c.info["gap_cost"] == o.info["gap_cost"]
         assert c.info["repair_moves"] == o.info["repair_moves"]
@@ -73,8 +78,8 @@ class TestApproEquivalence:
     @pytest.mark.parametrize("slot_pricing", ["marginal", "flat"])
     def test_pricing_modes_match(self, slot_pricing):
         market = make_market(50)
-        c = appro(market, slot_pricing=slot_pricing, representation="compiled")
-        o = appro(market, slot_pricing=slot_pricing, representation="object")
+        c = appro(market, slot_pricing=slot_pricing)
+        o = object_appro(market, slot_pricing=slot_pricing)
         assert_same_assignment(market, c, o)
 
     @pytest.mark.parametrize("name", sorted(CONGESTIONS))
@@ -82,8 +87,8 @@ class TestApproEquivalence:
         # A tight market (many providers per cloudlet slot) exercises the
         # remote bin and the repair's eviction loop.
         market = make_market(60, congestion=CONGESTIONS[name], n_providers=20, n_nodes=25)
-        c = appro(market, allow_remote=True, representation="compiled")
-        o = appro(market, allow_remote=True, representation="object")
+        c = appro(market, allow_remote=True)
+        o = object_appro(market, allow_remote=True)
         assert_same_assignment(market, c, o)
 
     def test_gap_instances_are_identical(self):
@@ -95,7 +100,7 @@ class TestApproEquivalence:
                 split = VirtualCloudletSplit(
                     market, allow_remote=allow_remote, slot_pricing=slot_pricing
                 )
-                obj = split.build_gap_instance()
+                obj = object_gap_instance(split)
                 cmp_ = split.build_gap_instance(compiled=market.compile())
                 assert np.array_equal(obj.costs, cmp_.costs)
                 assert np.array_equal(obj.weights, cmp_.weights)
@@ -107,8 +112,8 @@ class TestLCFEquivalence:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_placements_and_costs_match(self, information, seed):
         market = make_market(80 + seed)
-        c = lcf(market, xi=0.6, information=information, representation="compiled")
-        o = lcf(market, xi=0.6, information=information, representation="object")
+        c = lcf(market, xi=0.6, information=information)
+        o = object_lcf(market, xi=0.6, information=information)
         assert c.coordinated_ids == o.coordinated_ids
         assert c.br_rounds == o.br_rounds
         assert c.br_moves == o.br_moves
@@ -117,8 +122,8 @@ class TestLCFEquivalence:
 
     def test_allow_remote_matches(self):
         market = make_market(90, n_providers=20, n_nodes=25)
-        c = lcf(market, xi=0.5, allow_remote=True, representation="compiled")
-        o = lcf(market, xi=0.5, allow_remote=True, representation="object")
+        c = lcf(market, xi=0.5, allow_remote=True)
+        o = object_lcf(market, xi=0.5, allow_remote=True)
         assert_same_assignment(market, c.assignment, o.assignment)
 
 
@@ -149,12 +154,12 @@ class TestAssignmentSolverEquivalence:
     def test_appro_matches_shmoys_tardos(self, seed, allow_remote, slot_pricing, name):
         market = solver_market(seed, allow_remote, name)
         runs = {
-            (solver, rep): appro(
+            (solver, rep): run(
                 market, gap_solver=solver, allow_remote=allow_remote,
-                slot_pricing=slot_pricing, representation=rep,
+                slot_pricing=slot_pricing,
             )
             for solver in ("assignment", "shmoys_tardos")
-            for rep in ("compiled", "object")
+            for rep, run in (("compiled", appro), ("object", object_appro))
         }
         exact = runs["assignment", "compiled"]
         reference = runs["shmoys_tardos", "compiled"]
@@ -170,12 +175,12 @@ class TestAssignmentSolverEquivalence:
     def test_lcf_matches_shmoys_tardos(self, seed, allow_remote, slot_pricing, name):
         market = solver_market(seed, allow_remote, name)
         runs = {
-            (solver, rep): lcf(
+            (solver, rep): run(
                 market, xi=0.5, gap_solver=solver, allow_remote=allow_remote,
-                slot_pricing=slot_pricing, information="full", representation=rep,
+                slot_pricing=slot_pricing, information="full",
             )
             for solver in ("assignment", "shmoys_tardos")
-            for rep in ("compiled", "object")
+            for rep, run in (("compiled", lcf), ("object", object_lcf))
         }
         for solver in ("assignment", "shmoys_tardos"):
             c, o = runs[solver, "compiled"], runs[solver, "object"]
@@ -186,20 +191,26 @@ class TestAssignmentSolverEquivalence:
         )
 
 
+BASELINES = {
+    jo_offload_cache: object_jo_offload_cache,
+    offload_cache: object_offload_cache,
+}
+
+
 class TestBaselineEquivalence:
     @pytest.mark.parametrize("baseline", [jo_offload_cache, offload_cache])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_placements_and_costs_match(self, baseline, seed):
         market = make_market(100 + seed)
-        c = baseline(market, representation="compiled")
-        o = baseline(market, representation="object")
+        c = baseline(market)
+        o = BASELINES[baseline](market)
         assert_same_assignment(market, c, o)
 
     @pytest.mark.parametrize("baseline", [jo_offload_cache, offload_cache])
     def test_rejections_match_on_tight_market(self, baseline):
         market = make_market(110, n_providers=24, n_nodes=25)
-        c = baseline(market, representation="compiled")
-        o = baseline(market, representation="object")
+        c = baseline(market)
+        o = BASELINES[baseline](market)
         assert_same_assignment(market, c, o)
 
 
@@ -257,9 +268,9 @@ class TestLPAssemblyEquivalence:
 
         market = make_market(180 + seed)
         split = VirtualCloudletSplit(market, allow_remote=allow_remote)
-        instance = split.build_gap_instance()
-        scalar = solve_lp_relaxation(instance, assemble="scalar")
-        vector = solve_lp_relaxation(instance, assemble="vectorized")
+        instance = object_gap_instance(split)
+        scalar = scalar_lp_relaxation(instance)
+        vector = solve_lp_relaxation(instance)
         assert vector.value == scalar.value
         assert np.array_equal(vector.fractions, scalar.fractions)
 
@@ -267,22 +278,11 @@ class TestLPAssemblyEquivalence:
         from repro.core.virtual_cloudlets import VirtualCloudletSplit
 
         market = make_market(190)
-        instance = VirtualCloudletSplit(market).build_gap_instance()
+        instance = object_gap_instance(VirtualCloudletSplit(market))
         mask = instance.allowed_mask()
         for j in range(instance.n_items):
             for i in range(instance.n_bins):
                 assert bool(mask[j, i]) == instance.allowed(j, i)
-
-    def test_unknown_assembly_rejected(self):
-        from repro.core.virtual_cloudlets import VirtualCloudletSplit
-        from repro.exceptions import ConfigurationError
-        from repro.gap.lp import ASSEMBLIES, solve_lp_relaxation
-
-        assert ASSEMBLIES == ("vectorized", "scalar")
-        market = make_market(195)
-        instance = VirtualCloudletSplit(market).build_gap_instance()
-        with pytest.raises(ConfigurationError):
-            solve_lp_relaxation(instance, assemble="sparse")
 
 
 class TestGreedyModeEquivalence:
@@ -298,32 +298,21 @@ class TestGreedyModeEquivalence:
         # Tight markets exercise rounds where feasibility shrinks.
         market = make_market(210 + seed, n_providers=20, n_nodes=25)
         split = VirtualCloudletSplit(market, allow_remote=allow_remote)
-        instance = split.build_gap_instance()
-        scalar = greedy_gap(instance, mode="scalar")
-        vector = greedy_gap(instance, mode="vectorized")
+        instance = object_gap_instance(split)
+        scalar = scalar_greedy_gap(instance)
+        vector = greedy_gap(instance)
         assert vector.assignment == scalar.assignment
         assert vector.cost == scalar.cost
 
-    def test_unknown_mode_rejected(self):
-        from repro.core.virtual_cloudlets import VirtualCloudletSplit
-        from repro.exceptions import ConfigurationError
-        from repro.gap.greedy import MODES, greedy_gap
-
-        assert MODES == ("vectorized", "scalar")
-        market = make_market(220)
-        instance = VirtualCloudletSplit(market).build_gap_instance()
-        with pytest.raises(ConfigurationError):
-            greedy_gap(instance, mode="fast")
-
 
 class TestUncompiledGameBridge:
-    """market_game(use_compiled=False) rebuilds its tables from the cost
-    callables — the pre-compiled path — and must stay bit-equal."""
+    """The callable-built game compiles its tables from the cost callables
+    — the pre-compiled path — and must stay bit-equal."""
 
     def test_tables_match_factory_view(self):
         market = make_market(200)
         fast = market_game(market).compile()
-        plain_game = market_game(market, use_compiled=False)
+        plain_game = callable_game(market)
         assert plain_game.compiled_factory is None
         slow = plain_game.compile()
         assert np.array_equal(fast.fixed, slow.fixed)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.market.compiled import REPRESENTATIONS, CompiledMarket, resolve_compiled
+from repro.market.compiled import CompiledMarket
 from repro.market.costs import LinearCongestion, MM1Congestion, QuadraticCongestion
 from repro.market.workload import generate_market
 from repro.network.generators import random_mec_network
@@ -295,27 +295,3 @@ class TestCachingAndInvalidation:
         small_market.invalidate_compiled()
         cm = small_market.compile()  # builds + self-verifies
         cm.verify_against(small_market)
-
-
-class TestResolveCompiled:
-    def test_default_compiles_and_caches(self, small_market):
-        cm = resolve_compiled(small_market)
-        assert cm is small_market.compile()
-
-    def test_explicit_blob_wins(self, small_market):
-        blob = small_market.compile()
-        assert resolve_compiled(small_market, "compiled", blob) is blob
-
-    def test_object_path_returns_none(self, small_market):
-        assert resolve_compiled(small_market, "object") is None
-
-    def test_object_with_blob_is_rejected(self, small_market):
-        with pytest.raises(ConfigurationError):
-            resolve_compiled(small_market, "object", small_market.compile())
-
-    def test_unknown_representation_rejected(self, small_market):
-        with pytest.raises(ConfigurationError):
-            resolve_compiled(small_market, "vectorised")
-
-    def test_representations_tuple(self):
-        assert REPRESENTATIONS == ("compiled", "object")

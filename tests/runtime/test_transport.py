@@ -2,9 +2,7 @@
 
 Pins the contracts every consumer of :mod:`repro.runtime` leans on: a
 publication pickles exactly once per key, small payloads ride inline
-while large ones spill to disk, workers memoize fetches per process, and
-legacy string tokens (the pre-runtime ``ShardExecutor.publish`` return
-value) still resolve.
+while large ones spill to disk, and workers memoize fetches per process.
 """
 
 from __future__ import annotations
@@ -60,11 +58,9 @@ class TestHelpers:
         check_picklable(_double, "task function")  # no raise
 
     def test_old_import_paths_still_work(self):
-        from repro.experiments.parallel import _check_picklable
         from repro.experiments.parallel import resolve_workers as legacy
 
         assert legacy is resolve_workers
-        assert _check_picklable is check_picklable
 
 
 # --------------------------------------------------------------------- #
@@ -84,10 +80,7 @@ class TestBlobStore:
         with SerialTransport(spill_dir=tmp_path) as transport:
             ref = transport.publish("big", big)
             assert ref.path is not None and ref.data is None
-            assert ref.token == ref.path  # interchangeable with legacy tokens
             assert fetch_blob(ref) == big
-            # Legacy string-token fetch resolves the same payload.
-            assert fetch_blob(ref.path) == big
 
     def test_spill_threshold_is_configurable(self, tmp_path):
         with SerialTransport(spill_dir=tmp_path, spill_threshold=0) as transport:
